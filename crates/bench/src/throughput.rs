@@ -3,9 +3,10 @@
 //! verification sweep.
 //!
 //! This is the perf counterpart of the determinism guarantees: the
-//! per-loop fan-out ([`tms_core::par::par_map`]) and the wavefront
-//! candidate search change *wall-clock only*, so this benchmark reports
-//! loops/second and speedup per family and asserts (in
+//! parallel pass maps loops over [`tms_core::par::par_map_with`], each
+//! loop's TMS search running serially on its worker, which changes
+//! *wall-clock only*. So this benchmark reports loops/second and
+//! speedup per family and asserts (in
 //! `verify_sweep.reports_identical`) that the verification report is
 //! byte-for-byte the same at both worker counts. The `sched-throughput`
 //! binary writes the result to `results/bench_sched.json`.

@@ -216,8 +216,8 @@ impl CostModel {
     /// [`CostModel::candidate_stream`], which yields the same sequence
     /// lazily.
     pub fn candidates(&self, mii: u32, ii_max: u32, c_delay_max: u32) -> Vec<(u32, u32, CostKey)> {
-        let mut stream = self.candidate_stream(mii, ii_max, c_delay_max, true);
-        (0..stream.total()).map(|i| *stream.get(i)).collect()
+        self.candidate_stream(mii, ii_max, c_delay_max, true)
+            .collect()
     }
 }
 
@@ -232,21 +232,16 @@ impl CostModel {
 /// one element per *opened* II row enumerates it in sorted order:
 /// popping a row's ladder head opens the next II row (whose head cannot
 /// be cheaper, by monotonicity in II), and popping any element pushes
-/// its successor along the ladder (monotonicity in `C_delay`). Emitted
-/// candidates are memoised so the wavefront search can random-access
-/// the prefix it has dispatched.
+/// its successor along the ladder (monotonicity in `C_delay`).
 #[derive(Debug, Clone)]
 pub struct CandidateStream {
     model: CostModel,
     ladder: Vec<u32>,
-    mii: u32,
     ii_max: u32,
     /// Next II row whose ladder head has not been pushed yet.
     next_row: u32,
     /// Frontier min-heap of `(key, ii, c_delay, ladder position)`.
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(CostKey, u32, u32, u32)>>,
-    /// Memoised sorted prefix, in emission order.
-    emitted: Vec<(u32, u32, CostKey)>,
     /// Adaptive coarsening, when latched (see [`CandidateStream::coarsen`]).
     coarsen: Option<Coarsen>,
     /// Ladder rungs dropped by coarsening so far.
@@ -271,33 +266,22 @@ impl CandidateStream {
         CandidateStream {
             model,
             ladder,
-            mii,
             ii_max,
             next_row: mii + 1,
             heap,
-            emitted: Vec::new(),
             coarsen: None,
             skipped: 0,
         }
-    }
-
-    /// Total number of candidates the stream will emit — exact until
-    /// [`CandidateStream::coarsen`] is called, an upper bound after
-    /// (skipped rungs shrink the real count; callers iterating to
-    /// `total()` must then use [`CandidateStream::try_get`]).
-    pub fn total(&self) -> usize {
-        ((self.ii_max - self.mii) as usize + 1) * self.ladder.len()
     }
 
     /// Coarsen the `C_delay` grid for the *remaining* stream: every row
     /// steps its ladder by `factor` rungs at a time while the candidate
     /// key sits more than `margin` below `incumbent`, reverting to full
     /// resolution inside that refinement band (and the ladder cap stays
-    /// reachable — an over-stepping row clamps to its last rung). The
-    /// already-emitted prefix is immutable, so indices the search has
-    /// dispatched never change meaning. Sorted emission order is
-    /// preserved: a row's key is monotone along its ladder, so stepping
-    /// further ahead keeps the frontier-heap invariant intact.
+    /// reachable — an over-stepping row clamps to its last rung).
+    /// Candidates already yielded are unaffected. Sorted emission order
+    /// is preserved: a row's key is monotone along its ladder, so
+    /// stepping further ahead keeps the frontier-heap invariant intact.
     ///
     /// Re-latching **composes** monotonically rather than overwriting:
     /// the factor ratchets to the max of the latches, and the
@@ -332,31 +316,15 @@ impl CandidateStream {
     pub fn skipped(&self) -> u64 {
         self.skipped
     }
+}
 
-    /// The `idx`-th candidate in sorted order (0-based). Advances and
-    /// memoises the stream as needed; `idx` must be `< total()` and the
-    /// stream must not have been coarsened (use
-    /// [`CandidateStream::try_get`] then).
-    pub fn get(&mut self, idx: usize) -> &(u32, u32, CostKey) {
-        self.try_get(idx)
-            .expect("CandidateStream advanced past total()")
-    }
+impl Iterator for CandidateStream {
+    type Item = (u32, u32, CostKey);
 
-    /// The `idx`-th candidate in sorted order, or `None` once the
-    /// (possibly coarsened) stream has fewer than `idx + 1` candidates.
-    pub fn try_get(&mut self, idx: usize) -> Option<&(u32, u32, CostKey)> {
-        while self.emitted.len() <= idx {
-            if !self.advance() {
-                return None;
-            }
-        }
-        Some(&self.emitted[idx])
-    }
-
-    fn advance(&mut self) -> bool {
-        let Some(std::cmp::Reverse((key, ii, cd, pos))) = self.heap.pop() else {
-            return false;
-        };
+    /// The next `(II, C_delay, CostKey)` in sorted order, or `None`
+    /// once the (possibly coarsened) grid is exhausted.
+    fn next(&mut self) -> Option<Self::Item> {
+        let std::cmp::Reverse((key, ii, cd, pos)) = self.heap.pop()?;
         // Successor along this row's ladder: the next rung at full
         // resolution, `factor` rungs ahead when coarsened outside the
         // refinement band (clamped so the cap rung is never skipped).
@@ -391,8 +359,7 @@ impl CandidateStream {
             )));
             self.next_row += 1;
         }
-        self.emitted.push((ii, cd, key));
-        true
+        Some((ii, cd, key))
     }
 }
 
@@ -543,26 +510,10 @@ mod tests {
             ] {
                 let ladder = m.c_delay_ladder(cd_max, dense);
                 let want = sorted_grid(&m, mii, ii_max, &ladder);
-                let mut stream = m.candidate_stream(mii, ii_max, cd_max, dense);
-                assert_eq!(stream.total(), want.len());
-                let got: Vec<_> = (0..stream.total()).map(|i| *stream.get(i)).collect();
+                let got: Vec<_> = m.candidate_stream(mii, ii_max, cd_max, dense).collect();
                 assert_eq!(got, want, "ncore={ncore} mii={mii} ii_max={ii_max}");
             }
         }
-    }
-
-    #[test]
-    fn candidate_stream_random_access_is_stable() {
-        let m = model(4);
-        let mut stream = m.candidate_stream(5, 20, 30, false);
-        let n = stream.total();
-        // Jumping ahead then reading back earlier indices returns the
-        // memoised values unchanged.
-        let late = *stream.get(n - 1);
-        let early = *stream.get(0);
-        assert_eq!(*stream.get(n - 1), late);
-        assert_eq!(early.0, 5);
-        assert_eq!(early.1, m.costs.min_c_delay());
     }
 
     #[test]
@@ -570,12 +521,7 @@ mod tests {
         let m = model(4);
         let mk = || m.candidate_stream(2, 6, 30, true);
         fn drain(s: &mut CandidateStream) -> (Vec<(u32, u32, CostKey)>, u64) {
-            let mut out = Vec::new();
-            let mut i = 0;
-            while let Some(&c) = s.try_get(i) {
-                out.push(c);
-                i += 1;
-            }
+            let out = s.by_ref().collect();
             (out, s.skipped())
         }
         let inc_lo = m.cost_key(3, 4);

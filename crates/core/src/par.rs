@@ -1,12 +1,14 @@
 //! Deterministic bounded worker pools.
 //!
-//! Every parallel path in the system — the TMS candidate wavefront,
-//! the `tms-verify` family sweeps, the benchmark drivers — funnels
-//! through [`par_map`]/[`par_map_with`]: a scoped `std::thread` fan-out
-//! over a slice whose results are always returned **in input order**,
-//! regardless of which worker finished first. Callers therefore get
-//! bit-identical output at any worker count, which is what lets the
-//! determinism tests compare `jobs=1` against `jobs=4` directly.
+//! Every parallel path in the system — the `tms-verify` family sweeps,
+//! the per-loop experiment and benchmark drivers, tmsd's request
+//! batches — funnels through [`par_map`]/[`par_map_with`]: a scoped
+//! `std::thread` fan-out over a slice whose results are always returned
+//! **in input order**, regardless of which worker finished first.
+//! Callers therefore get bit-identical output at any worker count,
+//! which is what lets the determinism tests compare `jobs=1` against
+//! `jobs=4` directly. Parallelism is always across loops or requests:
+//! one TMS candidate search runs serially on the worker that owns it.
 //!
 //! No external dependencies: work distribution is a single shared
 //! atomic cursor (self-balancing — an expensive item simply keeps one
@@ -120,8 +122,7 @@ where
 /// per worker (once total on the serial path) and the resulting value
 /// is threaded through every call that worker executes. This is how
 /// the scheduling hot paths amortise their per-attempt allocations
-/// (see `tms_core::sms::SchedScratch`). The scratches live only for
-/// this call; use [`par_map_with_slots`] to carry them across calls.
+/// (see `tms_core::sms::SchedScratch`).
 pub fn par_map_with<T, R, S, I, F>(par: Parallelism, items: &[T], init: I, f: F) -> Vec<R>
 where
     T: Sync,
@@ -130,55 +131,17 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &T) -> R + Sync,
 {
-    let mut slots: Vec<S> = Vec::new();
-    par_map_with_slots(par, items, &mut slots, init, f)
-}
-
-/// [`par_map_with`] with **caller-owned** per-worker scratch slots that
-/// survive across calls: `slots` is grown to the resolved worker count
-/// with `init` (existing entries are kept — including their contents
-/// from previous calls) and slot `w` is threaded through every item
-/// worker `w` executes this call. This is how the TMS wavefront search
-/// lets each worker warm-start from the decision logs of the chunk
-/// items *it* ran previously.
-///
-/// Which items a slot sees is scheduling-dependent and therefore
-/// nondeterministic across runs and worker counts — callers must only
-/// put state in slots whose contents cannot change results (caches
-/// whose hits are byte-identical to misses, like
-/// `tms_core::warm::AttemptLog`). Results are returned in input order
-/// as always. Panic containment matches [`par_map_with`]: a panicking
-/// item resets its worker's slot via `init` (the unwound closure may
-/// have left it inconsistent) and is re-executed serially, in input
-/// order, with *fresh* scratch that is discarded afterwards.
-pub fn par_map_with_slots<T, R, S, I, F>(
-    par: Parallelism,
-    items: &[T],
-    slots: &mut Vec<S>,
-    init: I,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
     let workers = par.workers().min(items.len()).max(1);
-    if slots.len() < workers {
-        slots.resize_with(workers, &init);
-    }
     if workers <= 1 {
-        let slot = &mut slots[0];
+        let mut scratch = init();
         let mut out: Vec<(usize, R)> = Vec::with_capacity(items.len());
         let mut failed: Vec<usize> = Vec::new();
         for (i, t) in items.iter().enumerate() {
-            match catch_unwind(AssertUnwindSafe(|| f(&mut *slot, i, t))) {
+            match catch_unwind(AssertUnwindSafe(|| f(&mut scratch, i, t))) {
                 Ok(r) => out.push((i, r)),
                 Err(_) => {
                     PANICS_CAUGHT.fetch_add(1, Ordering::Relaxed);
-                    *slot = init();
+                    scratch = init();
                     failed.push(i);
                 }
             }
@@ -192,21 +155,21 @@ where
         let cursor = &cursor;
         let failed = &failed;
         let (f, init) = (&f, &init);
-        let handles: Vec<_> = slots[..workers]
-            .iter_mut()
-            .map(|slot| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
                 scope.spawn(move || {
+                    let mut scratch = init();
                     let mut out: Vec<(usize, R)> = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= items.len() {
                             break;
                         }
-                        match catch_unwind(AssertUnwindSafe(|| f(&mut *slot, i, &items[i]))) {
+                        match catch_unwind(AssertUnwindSafe(|| f(&mut scratch, i, &items[i]))) {
                             Ok(r) => out.push((i, r)),
                             Err(_) => {
                                 PANICS_CAUGHT.fetch_add(1, Ordering::Relaxed);
-                                *slot = init();
+                                scratch = init();
                                 failed
                                     .lock()
                                     .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -321,9 +284,18 @@ mod tests {
         }
     }
 
+    /// Held by every test that makes a pool catch a panic: the
+    /// `panics_caught` counter is process-wide and tests run in
+    /// parallel, so an exact delta is only the asserting test's own
+    /// while no other such test runs.
+    static CAUGHT_PANICS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn transient_panic_is_caught_and_retried_in_order() {
         use std::collections::BTreeSet;
+        let _own = CAUGHT_PANICS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let items: Vec<u64> = (0..97).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * 3).collect();
         for par in [Parallelism::Serial, Parallelism::Jobs(4)] {
@@ -345,6 +317,9 @@ mod tests {
     fn scratch_is_rebuilt_after_a_caught_panic() {
         // The panicking item bumps the scratch before unwinding; the
         // retry must see a fresh one, not the poisoned survivor.
+        let _own = CAUGHT_PANICS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let items: Vec<u32> = (0..8).collect();
         let first = std::sync::atomic::AtomicBool::new(true);
         let got = par_map_with(
@@ -360,73 +335,6 @@ mod tests {
             },
         );
         assert_eq!(got, items);
-    }
-
-    #[test]
-    fn slots_persist_across_calls_and_size_to_the_worker_count() {
-        // Serial: slot 0 carries its count from the first call into the
-        // second, and only one slot is ever materialised.
-        let items: Vec<u32> = (0..5).collect();
-        let mut slots: Vec<usize> = Vec::new();
-        let bump = |seen: &mut usize, _: usize, _: &u32| {
-            *seen += 1;
-            *seen
-        };
-        let first = par_map_with_slots(Parallelism::Serial, &items, &mut slots, || 0, bump);
-        assert_eq!(first, vec![1, 2, 3, 4, 5]);
-        assert_eq!(slots, vec![5]);
-        let second = par_map_with_slots(Parallelism::Serial, &items, &mut slots, || 0, bump);
-        assert_eq!(second, vec![6, 7, 8, 9, 10]);
-
-        // Threaded: one slot per resolved worker (capped by item
-        // count), and across both calls every item lands in exactly one
-        // slot — the slots partition the work without loss.
-        let items: Vec<u32> = (0..32).collect();
-        let mut slots: Vec<usize> = Vec::new();
-        for round in 1..=2usize {
-            let done = par_map_with_slots(
-                Parallelism::Jobs(4),
-                &items,
-                &mut slots,
-                || 0,
-                |seen, _, _| {
-                    *seen += 1;
-                },
-            );
-            assert_eq!(done.len(), items.len());
-            assert_eq!(slots.len(), 4);
-            assert_eq!(slots.iter().sum::<usize>(), items.len() * round);
-        }
-
-        // More workers than items: slots stop at the item count.
-        let tiny: Vec<u32> = vec![7, 9];
-        let mut slots: Vec<usize> = Vec::new();
-        par_map_with_slots(Parallelism::Jobs(8), &tiny, &mut slots, || 0, |_, _, _| ());
-        assert_eq!(slots.len(), 2);
-    }
-
-    #[test]
-    fn slot_is_reset_after_a_caught_panic() {
-        // A panicking item must not leave its poisoned slot contents
-        // in place for the next call.
-        let items: Vec<u32> = (0..4).collect();
-        let mut slots: Vec<u32> = Vec::new();
-        let first = std::sync::atomic::AtomicBool::new(true);
-        let got = par_map_with_slots(
-            Parallelism::Serial,
-            &items,
-            &mut slots,
-            || 0u32,
-            |dirty, i, &x| {
-                if i == 1 && first.swap(false, Ordering::Relaxed) {
-                    *dirty = 99;
-                    panic!("injected");
-                }
-                x + *dirty
-            },
-        );
-        assert_eq!(got, items);
-        assert_eq!(slots, vec![0]);
     }
 
     #[test]

@@ -21,9 +21,9 @@ use tms_machine::{mii, MachineModel};
 
 /// Reusable per-worker buffers for repeated scheduling attempts.
 ///
-/// One `try_schedule` attempt allocates a partial schedule (times +
-/// MRT), a priority map, a forced-slot floor, two longest-path distance
-/// vectors and a candidate-cycle list. The TMS search makes hundreds to
+/// One [`try_schedule`] attempt allocates a partial schedule (times +
+/// MRT), a forced-slot floor, two longest-path distance vectors and a
+/// candidate-cycle list. The TMS search makes hundreds to
 /// thousands of attempts per loop, and the workload sweeps schedule
 /// hundreds of loops — hoisting those allocations into a scratch that
 /// each worker thread owns removes the allocator from the inner loop
@@ -32,7 +32,6 @@ use tms_machine::{mii, MachineModel};
 #[derive(Default)]
 pub struct SchedScratch {
     ps: Option<PartialSchedule>,
-    pos: Vec<usize>,
     earliest: Vec<i64>,
     win: WindowScratch,
     occupants: Vec<InstId>,
@@ -222,8 +221,24 @@ impl std::fmt::Display for SchedError {
 
 impl std::error::Error for SchedError {}
 
+/// Priority map of a node order: `result[n] = position of n in order`
+/// (lower = higher priority). Attempt-invariant — callers compute it
+/// once per loop and pass it to every [`try_schedule`] call.
+pub fn order_priorities(order: &[InstId], num_insts: usize) -> Vec<usize> {
+    let mut pos = vec![usize::MAX; num_insts];
+    for (i, &n) in order.iter().enumerate() {
+        pos[n.index()] = i;
+    }
+    pos
+}
+
 /// Attempt to schedule `ddg` at a fixed `ii` under `policy`, using the
-/// supplied node `order`. Returns `None` if any node finds no slot.
+/// supplied node `order` and its priority map `pos` (see
+/// [`order_priorities`]). Returns `None` if any node finds no slot.
+///
+/// The caller supplies the [`TimeFrames`] for this `ii` (memoizable
+/// across attempts at the same II) and a [`SchedScratch`] whose buffers
+/// are reused across attempts.
 ///
 /// When every slot of a non-empty window is resource-blocked, the
 /// engine falls back to Rau-style **ejection**: the node takes the
@@ -233,154 +248,25 @@ impl std::error::Error for SchedError {}
 /// increasing II alone can never resolve the conflict (zero-distance
 /// chains keep their relative positions at every II). A budget bounds
 /// the ejection churn; on exhaustion the II is rejected as usual.
-pub fn try_schedule(
-    ddg: &Ddg,
-    machine: &MachineModel,
-    ii: u32,
-    order: &[InstId],
-    policy: &dyn SlotPolicy,
-) -> Option<Schedule> {
-    let frames = TimeFrames::compute(ddg, ii)?;
-    try_schedule_with(
-        ddg,
-        machine,
-        ii,
-        order,
-        policy,
-        &frames,
-        &mut SchedScratch::new(),
-    )
-}
-
-/// Priority map of a node order: `result[n] = position of n in order`
-/// (lower = higher priority). Attempt-invariant — the TMS search
-/// computes it once per loop and shares it across every candidate
-/// attempt via [`try_schedule_prepared`].
-pub fn order_priorities(order: &[InstId], num_insts: usize) -> Vec<usize> {
-    let mut pos = vec![usize::MAX; num_insts];
-    for (i, &n) in order.iter().enumerate() {
-        pos[n.index()] = i;
-    }
-    pos
-}
-
-/// [`try_schedule`] with attempt-invariant inputs hoisted out: the
-/// caller supplies the [`TimeFrames`] for this `ii` (memoizable across
-/// `P_max` retries at the same candidate) and a [`SchedScratch`] whose
-/// buffers are reused across attempts. Results are identical to
-/// [`try_schedule`].
-pub fn try_schedule_with(
-    ddg: &Ddg,
-    machine: &MachineModel,
-    ii: u32,
-    order: &[InstId],
-    policy: &dyn SlotPolicy,
-    frames: &TimeFrames,
-    scratch: &mut SchedScratch,
-) -> Option<Schedule> {
-    // Priority of each node = its position in the SMS order.
-    let mut pos = std::mem::take(&mut scratch.pos);
-    pos.clear();
-    pos.resize(ddg.num_insts(), usize::MAX);
-    for (i, &n) in order.iter().enumerate() {
-        pos[n.index()] = i;
-    }
-    let out = try_schedule_prepared(ddg, machine, ii, order, &pos, policy, frames, scratch);
-    scratch.pos = pos;
-    out
-}
-
-/// [`try_schedule_with`] for callers that also hoisted the
-/// order-priority map (see [`order_priorities`]) out of the attempt
-/// loop. Results are identical to [`try_schedule`].
-#[allow(clippy::too_many_arguments)]
-pub fn try_schedule_prepared(
-    ddg: &Ddg,
-    machine: &MachineModel,
-    ii: u32,
-    order: &[InstId],
-    pos: &[usize],
-    policy: &dyn SlotPolicy,
-    frames: &TimeFrames,
-    scratch: &mut SchedScratch,
-) -> Option<Schedule> {
-    debug_assert_eq!(frames.ii, ii, "frames computed for a different II");
-    run_prepared(
-        ddg, machine, ii, order, pos, policy, frames, scratch, None, None,
-    )
-}
-
-/// [`try_schedule_prepared`] with warm-start record/replay through an
-/// [`AttemptLog`] (see [`crate::warm`]). The log carries the decision
+///
+/// With `log = Some(..)` the attempt warm-starts from an
+/// [`AttemptLog`] (see [`crate::warm`]): the log carries the decision
 /// trace of the previous attempt at this `ii`; steps whose recorded
 /// policy verdicts still hold under `policy`'s current knobs are
 /// applied without recomputing windows or consulting the policy, and
 /// the remainder runs cold, refreshing the log. Results are
-/// byte-identical to [`try_schedule_prepared`] for *any* log contents —
-/// the log only changes how much work is recomputed. Pass a log
-/// recorded for a different loop, order, or II and the first probe
-/// mismatch simply falls back to the cold path (callers key their
-/// caches accordingly; see the TMS search).
+/// byte-identical to the cold call for *any* log contents — the log
+/// only changes how much work is recomputed. Pass a log recorded for a
+/// different loop, order, or II and the first probe mismatch simply
+/// falls back to the cold path.
+///
+/// With `prof = Some(..)` the placement profiler observes the attempt
+/// (see [`crate::profile`]): per-node attribution, probe outcomes,
+/// eject accounting and sub-phase wall-clock accumulators. The profiler
+/// only observes; callers profile cold attempts (no log) so that
+/// attribution covers every decision.
 #[allow(clippy::too_many_arguments)]
-pub fn try_schedule_logged(
-    ddg: &Ddg,
-    machine: &MachineModel,
-    ii: u32,
-    order: &[InstId],
-    pos: &[usize],
-    policy: &dyn SlotPolicy,
-    frames: &TimeFrames,
-    scratch: &mut SchedScratch,
-    log: &mut AttemptLog,
-) -> Option<Schedule> {
-    run_prepared(
-        ddg,
-        machine,
-        ii,
-        order,
-        pos,
-        policy,
-        frames,
-        scratch,
-        Some(log),
-        None,
-    )
-}
-
-/// [`try_schedule_prepared`] with the placement profiler attached (see
-/// [`crate::profile`]). The attempt runs cold — no warm-start log — and
-/// fills `prof` with per-node attribution, probe outcomes, eject
-/// accounting and sub-phase wall-clock accumulators. Scheduling results
-/// are byte-identical to [`try_schedule_prepared`]; the profiler only
-/// observes.
-#[allow(clippy::too_many_arguments)]
-pub fn try_schedule_profiled(
-    ddg: &Ddg,
-    machine: &MachineModel,
-    ii: u32,
-    order: &[InstId],
-    pos: &[usize],
-    policy: &dyn SlotPolicy,
-    frames: &TimeFrames,
-    scratch: &mut SchedScratch,
-    prof: &mut PlaceProfile,
-) -> Option<Schedule> {
-    run_prepared(
-        ddg,
-        machine,
-        ii,
-        order,
-        pos,
-        policy,
-        frames,
-        scratch,
-        None,
-        Some(prof),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_prepared(
+pub fn try_schedule(
     ddg: &Ddg,
     machine: &MachineModel,
     ii: u32,
@@ -424,7 +310,7 @@ fn run_prepared(
 }
 
 /// The engine proper: place every node or report failure. Split from
-/// [`try_schedule_with`] so the partial schedule can be returned to the
+/// [`try_schedule`] so the partial schedule can be returned to the
 /// scratch on every exit path.
 ///
 /// With `log = Some(..)` the engine first replays the log's validated
@@ -922,13 +808,14 @@ pub fn schedule_sms_with(
         });
     }
     let ceiling = ii_search_ceiling_from(ddg, m, ldp);
+    let pos = order_priorities(&order, ddg.num_insts());
     for ii in m..=ceiling {
         let Some(frames) = TimeFrames::compute(ddg, ii) else {
             continue;
         };
-        if let Some(schedule) =
-            try_schedule_with(ddg, machine, ii, &order, &AcceptAll, &frames, scratch)
-        {
+        if let Some(schedule) = try_schedule(
+            ddg, machine, ii, &order, &pos, &AcceptAll, &frames, scratch, None, None,
+        ) {
             debug_assert!(schedule.check_legal(ddg).is_none());
             debug_assert!(schedule.check_resources(ddg, machine));
             return Ok(SmsResult {

@@ -10,18 +10,14 @@
 //!    misspeculation frequency of non-preserved inter-iteration memory
 //!    dependences stays within `P_max` (condition **C2**).
 
-use crate::cost::{
-    misspec_probability, preserves, sync_delay, CandidateStream, CostKey, CostModel,
-};
+use crate::cost::{misspec_probability, preserves, sync_delay, CostKey, CostModel};
 use crate::diagnostics::{verify_schedule, Diagnostic, VerifyLimits};
 use crate::order::sms_order;
-use crate::par::{par_map_with_slots, Parallelism};
 use crate::profile::PlaceProfile;
 use crate::schedule::{PartialSchedule, Schedule};
 use crate::sms::{
     generic_scan_forced, generic_scan_window, ii_search_ceiling_from, order_priorities,
-    schedule_sms_with, try_schedule_logged, try_schedule_prepared, try_schedule_profiled,
-    SchedError, SchedScratch, SlotPolicy,
+    schedule_sms_with, try_schedule, SchedError, SchedScratch, SlotPolicy,
 };
 use crate::warm::{AttemptLog, Probe};
 use std::collections::{BTreeMap, HashMap};
@@ -29,6 +25,12 @@ use tms_ddg::analysis::{AcyclicPriorities, TimeFrames};
 use tms_ddg::{Ddg, InstId};
 use tms_machine::{mii, CostConstants, MachineModel};
 use tms_trace::Trace;
+
+/// Safety cap on the number of `(II, C_delay, P_max)` attempts one
+/// search dispatches. A correctness backstop, not a tunable: exhausting
+/// it falls through to the ordinary resolution paths (see
+/// [`TmsConfig::attempt_budget`] for the reported, degrading budget).
+pub const MAX_ATTEMPTS: usize = 200_000;
 
 /// Tunables of the TMS search.
 #[derive(Debug, Clone)]
@@ -47,25 +49,22 @@ pub struct TmsConfig {
     /// lucas — whose `C_delay` is close to II; the cost ordering makes
     /// large thresholds naturally last, so a generous cap is safe.)
     pub c_delay_max: Option<u32>,
-    /// Safety cap on the number of `(II, C_delay, P_max)` attempts.
-    pub max_attempts: usize,
     /// Graceful-degradation budget: when set, the search stops after
     /// this many attempts and *degrades* to the SMS schedule (reported
     /// as [`Diagnostic::DegradedToSms`] in [`TmsResult::degraded`])
     /// instead of erroring — even when [`TmsConfig::allow_sms_fallback`]
     /// is off, because running out of budget is an operational
-    /// condition, not an infeasibility proof. Unlike
-    /// [`TmsConfig::max_attempts`] (a correctness backstop), exhausting
-    /// this budget is always reported. Deterministic: the same budget
-    /// degrades the same loops at every worker count.
+    /// condition, not an infeasibility proof. Unlike [`MAX_ATTEMPTS`]
+    /// (a correctness backstop), exhausting this budget is always
+    /// reported. Deterministic: the same budget always degrades the
+    /// same loops.
     pub attempt_budget: Option<usize>,
     /// Wall-clock analogue of [`TmsConfig::attempt_budget`]: checked
-    /// before every attempt in both the serial and wavefront folds (the
-    /// cadence is aligned, the wall clock is not), so a pathological
-    /// loop cannot stall a sweep indefinitely. Inherently
-    /// machine-dependent — campaigns that need bit-identical reports
-    /// use `attempt_budget` instead. `Duration::ZERO` degrades before
-    /// the first attempt, deterministically.
+    /// before every attempt, so a pathological loop cannot stall a
+    /// sweep indefinitely. Inherently machine-dependent — campaigns
+    /// that need bit-identical reports use `attempt_budget` instead.
+    /// `Duration::ZERO` degrades before the first attempt,
+    /// deterministically.
     pub deadline: Option<std::time::Duration>,
     /// Try every integer `C_delay` candidate. When false (default) the
     /// grid is thinned for large thresholds — dense near the minimum,
@@ -100,14 +99,6 @@ pub struct TmsConfig {
     /// a much smaller C_delay", §5.1) and only "slightly larger"
     /// MaxLive; bounding stages forces the same trade.
     pub max_extra_stages: u32,
-    /// Worker threads for the candidate search. Candidates are
-    /// independent, so the search dispatches them in cost-ordered
-    /// wavefront chunks and accepts the lowest-index success — results
-    /// (including the `attempts`/`rejects` accounting) are bit-identical
-    /// to the serial search at every worker count. Defaults to
-    /// [`Parallelism::Serial`]: callers that already parallelise at the
-    /// loop level (sweeps, benches) keep the inner search serial.
-    pub parallelism: Parallelism,
     /// Warm-start attempts across the candidate stream (default on).
     /// The search keeps one [`AttemptLog`] per II and replays the
     /// recorded decision prefix of the previous attempt at that II
@@ -121,11 +112,8 @@ pub struct TmsConfig {
     /// §9.4). Replay and guiding are both equivalence-preserving —
     /// schedules and accounting are byte-identical to the cold path
     /// (`tests/bnb_equivalence.rs` pins this) — so the flag exists for
-    /// A/B measurement, not correctness. Wavefront workers carry their
-    /// own per-II log slots across chunks ([`par_map_with_slots`]);
-    /// which attempts seed a worker's slot is scheduling-dependent, but
-    /// warm≡cold per attempt keeps the folded results identical at
-    /// every worker count. The `tms.reuse.*` counters stay serial-only.
+    /// A/B measurement, not correctness. The `tms.reuse.*` counters
+    /// report the work it saved.
     pub warm_start: bool,
     /// Counter-driven adaptive candidate density (default **off**).
     /// When the rejection diagnostics of dispatched attempts are
@@ -135,18 +123,18 @@ pub struct TmsConfig {
     /// full grid is kept. Changes which candidates are visited, so the
     /// resolved schedule may differ from the exhaustive search (always
     /// to a candidate the exhaustive grid also contains); excluded from
-    /// the serial≡parallel identity guarantee and off in every default
-    /// path.
+    /// the pruned≡exhaustive identity guarantee and off in every
+    /// default path.
     pub adaptive: bool,
     /// In-engine placement profiler (default **off**; see
     /// [`crate::profile`]). When on, every dispatched attempt runs
     /// *cold* — warm-start replay is bypassed, because replayed steps
     /// skip exactly the scans being attributed — and fills a
-    /// per-attempt [`PlaceProfile`] that the search folds serially in
-    /// candidate-index order. Schedules are unchanged (warm ≡ cold per
-    /// attempt); attribution counters and histograms are bit-identical
-    /// at every worker count and recorded under `tms.place.*`, and the
-    /// folded profile is surfaced as [`TmsResult::profile`]. Sub-phase
+    /// per-attempt [`PlaceProfile`] that the search folds in candidate
+    /// order. Schedules are unchanged (warm ≡ cold per attempt);
+    /// attribution counters and histograms are deterministic and
+    /// recorded under `tms.place.*`, and the folded profile is
+    /// surfaced as [`TmsResult::profile`]. Sub-phase
     /// wall clocks land in the `tms.place.{scan,probe,fit,eject,force,
     /// verify}` trace timers, which — like `tms.phase.*` — are excluded
     /// from the deterministic snapshot. Profiling costs real time (two
@@ -161,14 +149,12 @@ impl Default for TmsConfig {
             p_max_values: vec![0.01, 0.05, 0.20],
             ii_max: None,
             c_delay_max: None,
-            max_attempts: 200_000,
             attempt_budget: None,
             deadline: None,
             dense_candidates: false,
             prune: true,
             allow_sms_fallback: true,
             max_extra_stages: 2,
-            parallelism: Parallelism::Serial,
             warm_start: true,
             adaptive: false,
             profile: false,
@@ -249,24 +235,23 @@ pub struct TmsResult {
     /// Diagnostics of up to [`REJECT_LOG_CAP`] rejected candidates.
     pub rejects: Vec<CandidateReject>,
     /// The attempt budget cut the search short of a resolution (the
-    /// result is the degraded SMS fallback). Deterministic at every
-    /// worker count.
+    /// result is the degraded SMS fallback). Deterministic: a pure
+    /// function of the loop, the configuration and the budget.
     pub budget_cut: bool,
     /// The wall-clock deadline cut the search short of a resolution.
-    /// Inherently machine- and load-dependent: deadline cuts are
-    /// **excluded** from the bit-identical-across-`--jobs` guarantee
-    /// (the check cadence is aligned — before every attempt in both the
-    /// serial and wavefront folds — but wall time is not).
+    /// The deadline is checked before every attempt, but wall time is
+    /// inherently machine- and load-dependent, so deadline cuts are
+    /// **excluded** from every determinism guarantee.
     pub deadline_cut: bool,
     /// Set iff the search was cut short by its attempt/deadline budget
     /// and the result is the degraded SMS fallback (always a
     /// [`Diagnostic::DegradedToSms`]). `None` for accepted candidates
     /// *and* for ordinary cost-driven SMS fallbacks.
     pub degraded: Option<Diagnostic>,
-    /// Folded placement profile of every consumed attempt, present iff
-    /// [`TmsConfig::profile`] was on. Attribution fields are
-    /// bit-identical at every worker count; the `*_ns` accumulators are
-    /// wall clock (see [`crate::profile`]).
+    /// Folded placement profile of every dispatched attempt, present
+    /// iff [`TmsConfig::profile`] was on. Attribution fields are
+    /// deterministic; the `*_ns` accumulators are wall clock (see
+    /// [`crate::profile`]).
     pub profile: Option<PlaceProfile>,
 }
 
@@ -860,10 +845,9 @@ pub fn schedule_tms(
 /// verification), and counters for every attempt outcome keyed by
 /// [`Diagnostic::kind`].
 ///
-/// Counters and value histograms are recorded only in the serial fold
-/// (never in worker threads), so the metrics snapshot is bit-identical
-/// at every [`TmsConfig::parallelism`] level; span/timer *durations*
-/// are wall-clock and carry no such guarantee.
+/// Counters and value histograms are pure functions of the search, so
+/// the metrics snapshot is deterministic; span/timer *durations* are
+/// wall-clock and carry no such guarantee.
 pub fn schedule_tms_traced(
     ddg: &Ddg,
     machine: &MachineModel,
@@ -911,7 +895,7 @@ pub fn schedule_tms_traced(
     let sms_key = model.cost_key(sms.schedule.ii(), sms_achieved);
 
     // Probe geometry is candidate-invariant: one plan serves every
-    // `(II, C_delay, P_max)` attempt, serial and wavefront alike.
+    // `(II, C_delay, P_max)` attempt.
     let probe_plan = ProbePlan::new(ddg);
 
     // Placement-independent C1 floor on the C_delay threshold. A self
@@ -923,8 +907,8 @@ pub fn schedule_tms_traced(
     // forced placements alike. Attempts under the floor therefore
     // cannot place the node at any slot — the engine would burn its
     // whole ejection budget rediscovering a rejection the edge list
-    // already proves, so `run_attempt` short-circuits them to the
-    // identical `NoSchedule` outcome.
+    // already proves, so such attempts short-circuit to the identical
+    // no-schedule outcome.
     let c_delay_floor: i64 = ddg
         .edges()
         .iter()
@@ -933,11 +917,6 @@ pub fn schedule_tms_traced(
         .max()
         .unwrap_or(i64::MIN);
 
-    // Attempts are indexed candidate-major: index `idx` is candidate
-    // `idx / P` tried with `p_max_values[idx % P]` — exactly the
-    // iteration order of the nested serial loops.
-    let p_count = config.p_max_values.len();
-    let total_indices = stream.total().saturating_mul(p_count);
     // Branch-and-bound cuts (see `TmsConfig::prune`). The cost bound
     // needs the SMS incumbent; the `P_max` dedup only needs the loop to
     // be free of memory-flow dependences.
@@ -948,131 +927,12 @@ pub fn schedule_tms_traced(
     // reported as a cut, because exhausting it degrades to SMS while
     // the safety cap falls through to the ordinary resolution paths.
     let budget = config.attempt_budget.unwrap_or(usize::MAX);
-    let attempt_cap = budget.min(config.max_attempts);
     let mut budget_cut = false;
     let search_started = std::time::Instant::now();
-    let past_deadline = || {
-        config
-            .deadline
-            .is_some_and(|d| search_started.elapsed() >= d)
-    };
     let mut deadline_cut = false;
 
-    // One `(II, C_delay, P_max)` attempt. Pure given its index: reads
-    // only attempt-invariant state (plus the frames cache and a
-    // per-worker scratch), so attempts can run in any order on any
-    // thread and yield identical outcomes.
-    let run_attempt = |ii: u32,
-                       c_delay: u32,
-                       key: CostKey,
-                       p_max: f64,
-                       frames: Option<&TimeFrames>,
-                       scratch: &mut SchedScratch,
-                       log: Option<&mut AttemptLog>|
-     -> (AttemptOutcome, Option<Box<PlaceProfile>>) {
-        // Per-attempt placement profile (`TmsConfig::profile`): a pure
-        // function of the attempt index like the outcome itself, so the
-        // serial fold of consumed attempts' profiles is bit-identical
-        // at every worker count.
-        let mut prof = config
-            .profile
-            .then(|| Box::new(PlaceProfile::new(ddg.num_insts())));
-        let mut span = trace.span("tms", "attempt");
-        span.arg("loop", ddg.name());
-        span.arg("ii", ii);
-        span.arg("c_delay", c_delay);
-        span.arg("p_max", p_max);
-        let Some(frames) = frames else {
-            return (AttemptOutcome::NoSchedule, prof);
-        };
-        if (c_delay as i64) < c_delay_floor {
-            // A self reg-flow dependence needs sync ≤ C_delay at every
-            // slot; below the floor the engine provably cannot place
-            // its node (same outcome, decided without running it).
-            return (AttemptOutcome::NoSchedule, prof);
-        }
-        let policy = TmsPolicy::new(&model.costs, &probe_plan, c_delay, p_max);
-        let t_place = prof.as_ref().map(|_| std::time::Instant::now());
-        let prof_ref = prof.as_deref_mut();
-        let placed = trace.time("tms.phase.place", || match (log, prof_ref) {
-            // Warm path (serial search only): replay the previous
-            // attempt's validated decision prefix, run cold from the
-            // first divergence. Byte-identical to the cold call below.
-            (Some(log), None) => {
-                try_schedule_logged(ddg, machine, ii, order, &pos, &policy, frames, scratch, log)
-            }
-            // Profiled attempts run cold (replay skips the scans being
-            // attributed; the callers pass no log when profiling).
-            (_, Some(p)) => {
-                try_schedule_profiled(ddg, machine, ii, order, &pos, &policy, frames, scratch, p)
-            }
-            (None, None) => {
-                try_schedule_prepared(ddg, machine, ii, order, &pos, &policy, frames, scratch)
-            }
-        });
-        if let Some(p) = prof.as_deref() {
-            // Sub-phase timers, one sample per attempt — wall clock,
-            // excluded from the deterministic snapshot like
-            // `tms.phase.*` — plus the Perfetto counter tracks for
-            // per-attempt place time and deepest eject chain.
-            let place_ns = t_place.unwrap().elapsed().as_nanos() as u64;
-            trace.time_ns("tms.place.scan", p.scan_ns);
-            trace.time_ns("tms.place.probe", p.probe_ns);
-            trace.time_ns("tms.place.fit", p.fit_ns);
-            trace.time_ns("tms.place.eject", p.eject_ns);
-            trace.time_ns("tms.place.force", p.force_ns);
-            trace.counter_sample_now(
-                "tms.counter",
-                || "tms.place.attempt_ns".to_string(),
-                place_ns,
-            );
-            trace.counter_sample_now(
-                "tms.counter",
-                || "tms.place.max_eject_chain".to_string(),
-                p.attempt_max_chain(),
-            );
-        }
-        let Some(schedule) = placed else {
-            return (AttemptOutcome::NoSchedule, prof);
-        };
-        // Post-search verification on the *normalised* kernel: the
-        // incremental C1/C2 checks run against provisional stages, so
-        // the final kernel can exceed the thresholds the slots were
-        // accepted under. Every rejection is recorded with its
-        // diagnostics instead of vanishing into a bare `continue`.
-        let min_stages = (ldp as u32).div_ceil(ii.max(1)).max(1);
-        let limits = VerifyLimits {
-            c_delay: Some(c_delay),
-            p_max: Some(p_max),
-            max_stages: Some(min_stages + config.max_extra_stages),
-        };
-        let t_verify = prof.as_ref().map(|_| std::time::Instant::now());
-        let diagnostics = trace.time("tms.phase.verify", || {
-            verify_schedule(ddg, &schedule, machine, &model.costs, &limits)
-        });
-        if let Some(p) = prof.as_deref_mut() {
-            let verify_ns = t_verify.unwrap().elapsed().as_nanos() as u64;
-            p.verify_ns += verify_ns;
-            trace.time_ns("tms.place.verify", verify_ns);
-        }
-        if !diagnostics.is_empty() {
-            return (AttemptOutcome::Rejected(diagnostics), prof);
-        }
-        let achieved = crate::metrics::achieved_c_delay(ddg, &schedule, &model.costs);
-        let tms_key = model.cost_key(ii, achieved);
-        // The achieved C_delay is ≤ the candidate threshold and the
-        // cost key is monotone in C_delay, so the candidate key is an
-        // upper bound on the realised key.
-        debug_assert!(
-            tms_key <= key,
-            "achieved key {tms_key:?} exceeds candidate bound {key:?}"
-        );
-        (AttemptOutcome::Built { schedule, tms_key }, prof)
-    };
-
-    // Fold one outcome into the serial accounting. Mirrors the serial
-    // loop body exactly: every dispatched attempt counts, rejections are
-    // logged in attempt order, and the first *accepted* `Built` outcome
+    // Search accounting. Every dispatched attempt counts, rejections
+    // are logged in attempt order, and the first *accepted* schedule
     // resolves the search. A schedule that builds but loses to the SMS
     // baseline under the same eq. 2 cost does *not* resolve: the search
     // keeps going, because a later candidate in cost order can still
@@ -1085,173 +945,92 @@ pub fn schedule_tms_traced(
     let mut lost = 0usize;
     let mut rejects: Vec<CandidateReject> = Vec::new();
     let mut resolution: Option<Accepted> = None;
-    let fold = |ii: u32,
-                c_delay: u32,
-                p_max: f64,
-                outcome: AttemptOutcome,
-                attempts: &mut usize,
-                rejected: &mut usize,
-                lost: &mut usize,
-                rejects: &mut Vec<CandidateReject>|
-     -> Option<Accepted> {
-        *attempts += 1;
-        trace.count("tms.attempts", 1);
-        match outcome {
-            AttemptOutcome::NoSchedule => {
-                trace.count("tms.reject.no-schedule", 1);
-                None
-            }
-            AttemptOutcome::Rejected(diagnostics) => {
-                *rejected += 1;
-                trace.count("tms.rejected", 1);
-                for d in &diagnostics {
-                    trace.count_keyed("tms.reject.", d.kind(), 1);
-                }
-                if rejects.len() < REJECT_LOG_CAP {
-                    rejects.push(CandidateReject {
-                        ii,
-                        c_delay,
-                        p_max,
-                        diagnostics,
-                    });
-                }
-                None
-            }
-            AttemptOutcome::Built { schedule, tms_key } => {
-                if config.allow_sms_fallback && sms_key < tms_key {
-                    *lost += 1;
-                    trace.count("tms.reject.lost-to-baseline", 1);
-                    None
-                } else {
-                    Some(Accepted {
-                        schedule,
-                        ii,
-                        c_delay,
-                        p_max,
-                        tms_key,
-                    })
-                }
-            }
-        }
-    };
-
-    // Classify one candidate-major index without dispatching it.
-    // Returns which prune (if any) removes it; classification order is
-    // fixed (P_max dedup before cost bound) so the per-kind counters
-    // are deterministic. `None` means the stream ran out of candidates
-    // before `total_indices` — possible only after adaptive coarsening
-    // shrank the grid (`total()` is then an upper bound).
     let mut pruned_cost = 0usize;
     let mut pruned_pmax = 0usize;
-    let classify = |stream: &mut CandidateStream,
-                    idx: usize|
-     -> Option<(u32, u32, CostKey, f64, Option<PruneKind>)> {
-        let p_idx = idx % p_count;
-        let &(ii, c_delay, key) = stream.try_get(idx / p_count)?;
-        let p_max = config.p_max_values[p_idx];
-        let prune = if p_max_dup && p_idx != 0 {
-            Some(PruneKind::PMaxDup)
-        } else if cost_bound.is_some_and(|b| model.floor_key(ii) > b) {
-            Some(PruneKind::CostBound)
-        } else {
-            None
-        };
-        Some((ii, c_delay, key, p_max, prune))
-    };
 
     // Scheduling windows depend only on (DDG, II), not on the C_delay /
     // P_max of the attempt, so the ASAP/ALAP frames are memoised per II
     // across the whole search — including across adjacent II rows the
     // cost shells revisit out of numeric order.
     let mut frames_cache: HashMap<u32, Option<TimeFrames>> = HashMap::new();
-    // Per-II decision logs for the warm-started serial search (ordered
-    // so a new II row can seed from the nearest smaller one — see
+    // Per-II decision logs for warm-started attempts (ordered so a new
+    // II row can seed from the nearest smaller one — see
     // `warm_log_for`), plus the reuse accounting recorded as
-    // `tms.reuse.*` after the search. The wavefront path keeps
-    // per-worker log maps in `par_map_with_slots` slots instead, and
-    // contributes nothing to the reuse counters: which attempts warmed
-    // a worker's slot is scheduling-dependent, and the counters promise
-    // bit-identity across worker counts.
+    // `tms.reuse.*` after the search.
     let mut warm_logs: BTreeMap<u32, AttemptLog> = BTreeMap::new();
     let mut warm_attempts = 0u64;
     let mut steps_replayed = 0u64;
     let mut steps_executed = 0u64;
     let mut cross_attempts = 0u64;
     let mut cross_steps = 0u64;
-    // Adaptive-density accounting (serial search only; all stay zero
-    // when `TmsConfig::adaptive` is off or in the wavefront).
+    // Adaptive-density accounting (all stay zero when
+    // `TmsConfig::adaptive` is off).
     let mut sync_rejections = 0u64;
     let mut coarsened = 0u64;
 
-    // Folded placement profile (`TmsConfig::profile`): merged serially,
-    // in candidate-index order, over exactly the consumed attempts —
-    // the same set every worker count consumes — so the attribution
-    // counters are bit-identical at `--jobs 1` and `--jobs N`.
+    // Folded placement profile (`TmsConfig::profile`): merged in
+    // candidate order over exactly the dispatched attempts.
     let mut search_prof: Option<PlaceProfile> =
         config.profile.then(|| PlaceProfile::new(ddg.num_insts()));
 
-    let workers = config.parallelism.workers();
-    if workers <= 1 || total_indices <= 1 {
-        // Serial search: lazily generated candidates, lazily computed
-        // frames, one persistent scratch. Prunes cost no attempt: the
-        // budget / deadline gates sit *after* the prune checks so a
-        // pruned index never trips them.
-        //
-        // Adaptive grid density (`TmsConfig::adaptive`): a sliding
-        // window of dispatched attempts watches for rejection evidence
-        // that the low-`C_delay` region is sync-infeasible — the engine
-        // failing to place anything at all, or a built kernel rejected
-        // for `sync-exceeded` — and, once a window is dominated by it,
-        // latches the stream into a coarser `C_delay` ladder outside a
-        // refinement band near the SMS incumbent's key. Serial-only
-        // (the wavefront search never coarsens), and keyed to the
-        // loop's workload family: DOALL-like loops carry few carried
-        // sync edges, so rejection pressure there is weak evidence and
-        // gets a long window with gentle coarsening, while speculative
-        // DOACROSS loops reject for sync reasons structurally and get a
-        // short window with an aggressive ladder. After a latch the
-        // watcher keeps running; sustained pressure escalates by
-        // re-latching at double the factor (capped) — re-latching
-        // composes, see `CandidateStream::coarsen`.
-        let (adapt_window, adapt_factor) = match tms_ddg::classify(ddg).class {
-            tms_ddg::LoopClass::Doall | tms_ddg::LoopClass::DoallWithInductions => (24u32, 2u32),
-            tms_ddg::LoopClass::DoacrossRegister => (16, 4),
-            tms_ddg::LoopClass::DoacrossSpeculativeMemory => (12, 4),
-        };
-        const ADAPT_FACTOR_CAP: u32 = 8;
-        let adapt_margin = (sms_key.0 / 8).max(4);
-        let mut adapt_seen = 0u32;
-        let mut adapt_sync = 0u32;
-        let mut coarsen_factor = 0u32;
-        let mut idx = 0usize;
-        while idx < total_indices {
-            let Some((ii, c_delay, key, p_max, prune)) = classify(&mut stream, idx) else {
-                break; // coarsened stream exhausted below total()
-            };
-            match prune {
-                Some(PruneKind::PMaxDup) => {
-                    pruned_pmax += 1;
-                    idx += 1;
-                    continue;
-                }
-                Some(PruneKind::CostBound) => {
-                    pruned_cost += 1;
-                    idx += 1;
-                    continue;
-                }
-                None => {}
+    // Adaptive grid density (`TmsConfig::adaptive`): a sliding window of
+    // dispatched attempts watches for rejection evidence that the
+    // low-`C_delay` region is sync-infeasible — the engine failing to
+    // place anything at all, or a built kernel rejected for
+    // `sync-exceeded` — and, once a window is dominated by it, latches
+    // the stream into a coarser `C_delay` ladder outside a refinement
+    // band near the SMS incumbent's key. Keyed to the loop's workload
+    // family: DOALL-like loops carry few carried sync edges, so
+    // rejection pressure there is weak evidence and gets a long window
+    // with gentle coarsening, while speculative DOACROSS loops reject
+    // for sync reasons structurally and get a short window with an
+    // aggressive ladder. After a latch the watcher keeps running;
+    // sustained pressure escalates by re-latching at double the factor
+    // (capped) — re-latching composes, see `CandidateStream::coarsen`.
+    let (adapt_window, adapt_factor) = match tms_ddg::classify(ddg).class {
+        tms_ddg::LoopClass::Doall | tms_ddg::LoopClass::DoallWithInductions => (24u32, 2u32),
+        tms_ddg::LoopClass::DoacrossRegister => (16, 4),
+        tms_ddg::LoopClass::DoacrossSpeculativeMemory => (12, 4),
+    };
+    const ADAPT_FACTOR_CAP: u32 = 8;
+    let adapt_margin = (sms_key.0 / 8).max(4);
+    let mut adapt_seen = 0u32;
+    let mut adapt_sync = 0u32;
+    let mut coarsen_factor = 0u32;
+
+    // The search: candidates in cost order, each tried with every
+    // `P_max` in turn. Prunes cost no attempt — the budget and deadline
+    // gates sit *after* the prune checks, so a pruned candidate never
+    // trips them — and are classified in a fixed order (`P_max` dedup
+    // before the cost bound) so the per-kind counters are
+    // deterministic.
+    'search: while let Some((ii, c_delay, key)) = stream.next() {
+        for (p_idx, &p_max) in config.p_max_values.iter().enumerate() {
+            if p_max_dup && p_idx != 0 {
+                pruned_pmax += 1;
+                continue;
+            }
+            if cost_bound.is_some_and(|b| model.floor_key(ii) > b) {
+                pruned_cost += 1;
+                continue;
             }
             if attempts >= budget {
                 budget_cut = true;
-                break;
+                break 'search;
             }
-            if attempts >= config.max_attempts {
-                break;
+            if attempts >= MAX_ATTEMPTS {
+                break 'search;
             }
-            if past_deadline() {
+            if config
+                .deadline
+                .is_some_and(|d| search_started.elapsed() >= d)
+            {
                 deadline_cut = true;
-                break;
+                break 'search;
             }
+            attempts += 1;
+            trace.count("tms.attempts", 1);
+
             let frames = frames_cache
                 .entry(ii)
                 .or_insert_with(|| trace.time("tms.phase.frames", || TimeFrames::compute(ddg, ii)))
@@ -1260,25 +1039,101 @@ pub fn schedule_tms_traced(
             // skips the window scans and probes being attributed, so a
             // warm attempt would under-count exactly the hot paths the
             // profiler exists to expose. Cold and warm attempts build
-            // byte-identical schedules, so only the timings shift.
-            let (outcome, attempt_prof) = if config.warm_start && !config.profile {
+            // byte-identical schedules, so only the timings shift. The
+            // log is zeroed up front so an attempt that short-circuits
+            // without entering the engine does not re-count the
+            // previous attempt's reuse figures.
+            let mut log = (config.warm_start && !config.profile).then(|| {
                 let log = warm_log_for(&mut warm_logs, ii);
-                // The floor/no-frames short-circuits in `run_attempt`
-                // return without entering the engine; zeroing here keeps
-                // the reuse accounting from re-counting the previous
-                // attempt's figures on such an early exit.
                 log.replayed = 0;
                 log.executed = 0;
                 log.cross_replayed = 0;
-                let outcome = run_attempt(
-                    ii,
-                    c_delay,
-                    key,
-                    p_max,
-                    frames,
-                    &mut scratch,
-                    Some(&mut *log),
-                );
+                log
+            });
+            let mut prof = config.profile.then(|| PlaceProfile::new(ddg.num_insts()));
+
+            // The attempt proper: place under C1/C2, then verify the
+            // normalised kernel. `None` means the engine placed nothing.
+            let built = {
+                let mut span = trace.span("tms", "attempt");
+                span.arg("loop", ddg.name());
+                span.arg("ii", ii);
+                span.arg("c_delay", c_delay);
+                span.arg("p_max", p_max);
+                let placed = match frames {
+                    // Below the C_delay floor a self reg-flow dependence
+                    // provably rejects every slot of its node: same
+                    // outcome as the engine, decided without running it.
+                    Some(frames) if c_delay as i64 >= c_delay_floor => {
+                        let policy = TmsPolicy::new(&model.costs, &probe_plan, c_delay, p_max);
+                        let t_place = prof.as_ref().map(|_| std::time::Instant::now());
+                        let placed = trace.time("tms.phase.place", || {
+                            try_schedule(
+                                ddg,
+                                machine,
+                                ii,
+                                order,
+                                &pos,
+                                &policy,
+                                frames,
+                                &mut scratch,
+                                log.as_deref_mut(),
+                                prof.as_mut(),
+                            )
+                        });
+                        if let (Some(p), Some(t)) = (&prof, t_place) {
+                            // Sub-phase timers, one sample per attempt —
+                            // wall clock, excluded from the deterministic
+                            // snapshot like `tms.phase.*` — plus the
+                            // Perfetto counter tracks for per-attempt
+                            // place time and deepest eject chain.
+                            let place_ns = t.elapsed().as_nanos() as u64;
+                            trace.time_ns("tms.place.scan", p.scan_ns);
+                            trace.time_ns("tms.place.probe", p.probe_ns);
+                            trace.time_ns("tms.place.fit", p.fit_ns);
+                            trace.time_ns("tms.place.eject", p.eject_ns);
+                            trace.time_ns("tms.place.force", p.force_ns);
+                            trace.counter_sample_now(
+                                "tms.counter",
+                                || "tms.place.attempt_ns".to_string(),
+                                place_ns,
+                            );
+                            trace.counter_sample_now(
+                                "tms.counter",
+                                || "tms.place.max_eject_chain".to_string(),
+                                p.attempt_max_chain(),
+                            );
+                        }
+                        placed
+                    }
+                    _ => None,
+                };
+                // Post-search verification on the *normalised* kernel:
+                // the incremental C1/C2 checks run against provisional
+                // stages, so the final kernel can exceed the thresholds
+                // the slots were accepted under. Every rejection is
+                // recorded with its diagnostics.
+                placed.map(|schedule| {
+                    let min_stages = (ldp as u32).div_ceil(ii.max(1)).max(1);
+                    let limits = VerifyLimits {
+                        c_delay: Some(c_delay),
+                        p_max: Some(p_max),
+                        max_stages: Some(min_stages + config.max_extra_stages),
+                    };
+                    let t_verify = prof.as_ref().map(|_| std::time::Instant::now());
+                    let diagnostics = trace.time("tms.phase.verify", || {
+                        verify_schedule(ddg, &schedule, machine, &model.costs, &limits)
+                    });
+                    if let (Some(p), Some(t)) = (prof.as_mut(), t_verify) {
+                        let verify_ns = t.elapsed().as_nanos() as u64;
+                        p.verify_ns += verify_ns;
+                        trace.time_ns("tms.place.verify", verify_ns);
+                    }
+                    (schedule, diagnostics)
+                })
+            };
+
+            if let Some(log) = log {
                 if log.replayed > 0 {
                     warm_attempts += 1;
                 }
@@ -1288,39 +1143,67 @@ pub fn schedule_tms_traced(
                     cross_attempts += 1;
                 }
                 cross_steps += log.cross_replayed;
-                outcome
-            } else {
-                run_attempt(ii, c_delay, key, p_max, frames, &mut scratch, None)
-            };
-            if let (Some(sp), Some(p)) = (search_prof.as_mut(), attempt_prof.as_deref()) {
+            }
+            if let (Some(sp), Some(p)) = (search_prof.as_mut(), &prof) {
                 sp.merge(p);
             }
-            // The fold consumes the outcome, so the adaptive evidence is
-            // taken off it first: an engine that placed nothing at all
-            // (a knob-independent failure persists across the whole
+            // Fold the outcome. `sync_infeasible` is the adaptive
+            // evidence: an engine that placed nothing at all (a
+            // knob-independent failure persists across the whole
             // ladder; a knob-dependent one at low `C_delay` is C1
             // rejection pressure), or a built kernel rejected for
             // `sync-exceeded`.
-            let sync_infeasible = match &outcome {
-                AttemptOutcome::NoSchedule => true,
-                AttemptOutcome::Rejected(ds) => ds
-                    .iter()
-                    .any(|d| matches!(d, Diagnostic::SyncExceeded { .. })),
-                AttemptOutcome::Built { .. } => false,
+            let sync_infeasible = match built {
+                None => {
+                    trace.count("tms.reject.no-schedule", 1);
+                    true
+                }
+                Some((_, diagnostics)) if !diagnostics.is_empty() => {
+                    rejected += 1;
+                    trace.count("tms.rejected", 1);
+                    for d in &diagnostics {
+                        trace.count_keyed("tms.reject.", d.kind(), 1);
+                    }
+                    let sync = diagnostics
+                        .iter()
+                        .any(|d| matches!(d, Diagnostic::SyncExceeded { .. }));
+                    if rejects.len() < REJECT_LOG_CAP {
+                        rejects.push(CandidateReject {
+                            ii,
+                            c_delay,
+                            p_max,
+                            diagnostics,
+                        });
+                    }
+                    sync
+                }
+                Some((schedule, _)) => {
+                    let achieved = crate::metrics::achieved_c_delay(ddg, &schedule, &model.costs);
+                    let tms_key = model.cost_key(ii, achieved);
+                    // The achieved C_delay is ≤ the candidate threshold
+                    // and the cost key is monotone in C_delay, so the
+                    // candidate key is an upper bound on the realised
+                    // key.
+                    debug_assert!(
+                        tms_key <= key,
+                        "achieved key {tms_key:?} exceeds candidate bound {key:?}"
+                    );
+                    if config.allow_sms_fallback && sms_key < tms_key {
+                        lost += 1;
+                        trace.count("tms.reject.lost-to-baseline", 1);
+                        false
+                    } else {
+                        resolution = Some(Accepted {
+                            schedule,
+                            ii,
+                            c_delay,
+                            p_max,
+                            tms_key,
+                        });
+                        break 'search;
+                    }
+                }
             };
-            resolution = fold(
-                ii,
-                c_delay,
-                p_max,
-                outcome,
-                &mut attempts,
-                &mut rejected,
-                &mut lost,
-                &mut rejects,
-            );
-            if resolution.is_some() {
-                break;
-            }
             if config.adaptive {
                 if sync_infeasible {
                     sync_rejections += 1;
@@ -1348,181 +1231,18 @@ pub fn schedule_tms_traced(
                     }
                 }
             }
-            idx += 1;
-        }
-    } else {
-        // Wavefront search: collect the next chunk of *dispatchable*
-        // cost-ordered attempts (prunes are classified serially while
-        // building the chunk and attributed to the spec that follows
-        // them), run them on the worker pool, then fold the outcomes in
-        // index order. The first resolving attempt wins and everything
-        // after it in the chunk — prunes included — is discarded:
-        // byte-for-byte the serial result, because each attempt is
-        // independent and the fold consumes them in serial order.
-        // Chunks ramp up so a success among the cheap early candidates
-        // wastes little work.
-        let mut idx = 0usize;
-        let mut chunk = workers;
-        // Persistent per-worker state: the usual scheduling scratch plus
-        // a per-II warm-log map, carried across chunks so each worker
-        // warm-starts from the attempts *it* ran previously. The slot
-        // contents are scheduling-dependent (which worker gets which
-        // spec is a race), but every attempt is warm≡cold byte-identical
-        // (`tests/bnb_equivalence.rs`), so the serial fold below cannot
-        // observe the difference.
-        let mut worker_state: Vec<(SchedScratch, BTreeMap<u32, AttemptLog>)> = Vec::new();
-        'wave: while idx < total_indices {
-            if past_deadline() {
-                deadline_cut = true;
-                break;
-            }
-            let room = attempt_cap.saturating_sub(attempts);
-            if room == 0 {
-                // No attempt may be dispatched; scan forward through
-                // prunes to learn whether a dispatchable index remains
-                // (that is what distinguishes a budget cut from a fully
-                // swept range), counting the prunes exactly as the
-                // serial loop would before it hit the gate.
-                while idx < total_indices {
-                    let Some((_, _, _, _, prune)) = classify(&mut stream, idx) else {
-                        idx = total_indices; // stream exhausted: fully swept
-                        break;
-                    };
-                    match prune {
-                        Some(PruneKind::PMaxDup) => pruned_pmax += 1,
-                        Some(PruneKind::CostBound) => pruned_cost += 1,
-                        None => break,
-                    }
-                    idx += 1;
-                }
-                if idx < total_indices && attempts >= budget {
-                    budget_cut = true;
-                }
-                break;
-            }
-            // Build the chunk: up to `chunk` dispatchable specs, each
-            // carrying the prune counts encountered since the previous
-            // spec so the fold can replay them in serial order.
-            let want = chunk.min(room);
-            let mut specs: Vec<AttemptSpec> = Vec::with_capacity(want);
-            let mut tail_cost = 0usize;
-            let mut tail_pmax = 0usize;
-            while idx < total_indices && specs.len() < want {
-                let Some((ii, c_delay, key, p_max, prune)) = classify(&mut stream, idx) else {
-                    idx = total_indices; // stream exhausted: fully swept
-                    break;
-                };
-                match prune {
-                    Some(PruneKind::PMaxDup) => tail_pmax += 1,
-                    Some(PruneKind::CostBound) => tail_cost += 1,
-                    None => {
-                        specs.push(AttemptSpec {
-                            ii,
-                            c_delay,
-                            key,
-                            p_max,
-                            pruned_cost_before: tail_cost,
-                            pruned_pmax_before: tail_pmax,
-                        });
-                        tail_cost = 0;
-                        tail_pmax = 0;
-                    }
-                }
-                idx += 1;
-            }
-            if specs.is_empty() {
-                // The whole remaining range pruned away.
-                pruned_cost += tail_cost;
-                pruned_pmax += tail_pmax;
-                continue;
-            }
-            // Frames for the chunk's IIs are filled serially up front;
-            // workers then share the cache read-only.
-            for spec in &specs {
-                frames_cache.entry(spec.ii).or_insert_with(|| {
-                    trace.time("tms.phase.frames", || TimeFrames::compute(ddg, spec.ii))
-                });
-            }
-            let cache = &frames_cache;
-            let outcomes = par_map_with_slots(
-                config.parallelism,
-                &specs,
-                &mut worker_state,
-                || (SchedScratch::new(), BTreeMap::new()),
-                |(scratch, logs), _, spec| {
-                    let frames = cache.get(&spec.ii).and_then(|f| f.as_ref());
-                    // Profiled attempts run cold here too — see the
-                    // serial loop; per-attempt profiles come back with
-                    // the outcomes and are folded below in spec order.
-                    let log = (config.warm_start && !config.profile).then(|| {
-                        let log = warm_log_for(logs, spec.ii);
-                        log.replayed = 0;
-                        log.executed = 0;
-                        log.cross_replayed = 0;
-                        log
-                    });
-                    run_attempt(
-                        spec.ii,
-                        spec.c_delay,
-                        spec.key,
-                        spec.p_max,
-                        frames,
-                        scratch,
-                        log,
-                    )
-                },
-            );
-            for (spec, (outcome, attempt_prof)) in specs.iter().zip(outcomes) {
-                pruned_cost += spec.pruned_cost_before;
-                pruned_pmax += spec.pruned_pmax_before;
-                if past_deadline() {
-                    deadline_cut = true;
-                    break 'wave;
-                }
-                // Merge before the fold so the resolving attempt's own
-                // profile is included — the same set of attempts the
-                // serial search would have consumed.
-                if let (Some(sp), Some(p)) = (search_prof.as_mut(), attempt_prof.as_deref()) {
-                    sp.merge(p);
-                }
-                resolution = fold(
-                    spec.ii,
-                    spec.c_delay,
-                    spec.p_max,
-                    outcome,
-                    &mut attempts,
-                    &mut rejected,
-                    &mut lost,
-                    &mut rejects,
-                );
-                if resolution.is_some() {
-                    break 'wave;
-                }
-            }
-            // The chunk folded without resolving; the prunes past its
-            // last spec are now committed too.
-            pruned_cost += tail_cost;
-            pruned_pmax += tail_pmax;
-            chunk = (chunk * 2).min(workers * 8);
         }
     }
 
-    // Pruning counters are recorded once, serially, after the search:
-    // their values come from the serial-order accounting above, so the
-    // trace is bit-identical at every worker count. `count` always
-    // inserts the key, so the schema holds even at zero.
+    // Pruning counters are recorded once, after the search. `count`
+    // always inserts the key, so the schema holds even at zero.
     let pruned = pruned_cost + pruned_pmax;
     trace.count("tms.pruned.cost-bound", pruned_cost as u64);
     trace.count("tms.pruned.p-max-dup", pruned_pmax as u64);
     // Warm-start reuse accounting: attempts that replayed ≥ 1 recorded
     // step, the step totals replayed vs executed cold, and the cross-II
     // figures (attempts whose guide rebuilt ≥ 1 window from transferred
-    // facts, and those window-rebuild totals). All zero in the
-    // wavefront search — its workers do warm-start, but which attempts
-    // hit a worker's slot is scheduling-dependent, so `tms.reuse.*`
-    // describes only the serial engine's work saved and, like
-    // wall-clock timers, is excluded from the serial≡parallel
-    // metric-identity guarantee.
+    // facts, and those window-rebuild totals).
     trace.count("tms.reuse.warm-attempts", warm_attempts);
     trace.count("tms.reuse.cross-ii-attempts", cross_attempts);
     trace.count("tms.reuse.cross-ii-steps-replayed", cross_steps);
@@ -1547,11 +1267,10 @@ pub fn schedule_tms_traced(
         attempts as u64,
     );
     // Placement attribution (`TmsConfig::profile`): recorded here, once,
-    // from the serially folded profile, so the counters and value
-    // histograms land in the deterministic snapshot bit-identically at
-    // every worker count. The per-attempt wall-clock timers were flushed
-    // inside `run_attempt` and live only in the (non-deterministic)
-    // timers section.
+    // from the folded profile, so the counters and value histograms land
+    // in the deterministic snapshot. The per-attempt wall-clock timers
+    // were flushed during the search and live only in the
+    // (non-deterministic) timers section.
     if let Some(p) = &search_prof {
         trace.count("tms.place.scans", p.scans);
         trace.count("tms.place.forced", p.forced);
@@ -1647,21 +1366,6 @@ pub fn schedule_tms_traced(
     }
 }
 
-/// Result of running one candidate attempt, before the serial-order
-/// fold. `Send` so attempts can come back from worker threads.
-enum AttemptOutcome {
-    /// The engine could not place every instruction.
-    NoSchedule,
-    /// A schedule was built but the post-search verification rejected
-    /// it.
-    Rejected(Vec<Diagnostic>),
-    /// A verified schedule with its realised cost key.
-    Built {
-        schedule: Schedule,
-        tms_key: CostKey,
-    },
-}
-
 /// The accepted candidate that resolved the search. A built schedule
 /// that loses to the SMS baseline does *not* resolve — the fold counts
 /// it and keeps searching — so `None` after the sweep means "fall back
@@ -1672,33 +1376,6 @@ struct Accepted {
     c_delay: u32,
     p_max: f64,
     tms_key: CostKey,
-}
-
-/// Which branch-and-bound cut removed a candidate index without
-/// dispatching it. Classification order is fixed — `P_max` dedup is
-/// checked before the cost bound — so the per-kind counters are
-/// deterministic.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PruneKind {
-    /// Duplicate attempt: on a loop with no memory-flow dependence the
-    /// C2 check is vacuous, so every `P_max` value yields the same
-    /// outcome and only the first is dispatched.
-    PMaxDup,
-    /// The candidate's admissible cost floor already exceeds the SMS
-    /// incumbent, so any schedule it built would lose to the baseline.
-    CostBound,
-}
-
-/// One dispatchable attempt collected for a wavefront chunk, carrying
-/// the prune counts encountered since the previous spec so the fold
-/// can replay the serial accounting exactly.
-struct AttemptSpec {
-    ii: u32,
-    c_delay: u32,
-    key: CostKey,
-    p_max: f64,
-    pruned_cost_before: usize,
-    pruned_pmax_before: usize,
 }
 
 #[cfg(test)]
@@ -1863,41 +1540,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_degradation_is_identical_at_any_worker_count() {
-        let g = motivating_shape();
-        for budget in [1usize, 3, 7] {
-            let serial = schedule_tms(
-                &g,
-                &machine(),
-                &model(4),
-                &TmsConfig {
-                    attempt_budget: Some(budget),
-                    ..TmsConfig::default()
-                },
-            )
-            .unwrap();
-            let parallel = schedule_tms(
-                &g,
-                &machine(),
-                &model(4),
-                &TmsConfig {
-                    attempt_budget: Some(budget),
-                    parallelism: Parallelism::Jobs(4),
-                    ..TmsConfig::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(serial.attempts, parallel.attempts, "budget={budget}");
-            assert_eq!(
-                serial.fell_back_to_sms, parallel.fell_back_to_sms,
-                "budget={budget}"
-            );
-            assert_eq!(serial.degraded, parallel.degraded, "budget={budget}");
-            assert_eq!(serial.ii, parallel.ii, "budget={budget}");
-        }
-    }
-
-    #[test]
     fn budget_and_deadline_cuts_are_reported_distinctly() {
         let g = motivating_shape();
         // Attempt budget: budget_cut set, deadline_cut not.
@@ -2055,20 +1697,24 @@ mod tests {
         let m = machine();
         let model = model(4);
         let order = sms_order(&g);
+        let pos = order_priorities(&order, g.num_insts());
         let mut scratch = SchedScratch::new();
         let plan = ProbePlan::new(&g);
         for ii in [12u32, 16, 24] {
             let frames = TimeFrames::compute(&g, ii).unwrap();
             for c_delay in [costs.min_c_delay(), floor as u32 - 1] {
                 let policy = TmsPolicy::new(&costs, &plan, c_delay, 1.0);
-                let got = crate::sms::try_schedule_with(
+                let got = try_schedule(
                     &g,
                     &m,
                     ii,
                     &order,
+                    &pos,
                     &policy,
                     &frames,
                     &mut scratch,
+                    None,
+                    None,
                 );
                 assert!(
                     got.is_none(),

@@ -195,7 +195,7 @@ pub struct Step {
 /// guide at a larger one. Owned by the TMS search's per-II cache
 /// (seeded across II rows from the nearest lower row); the engine both
 /// consumes (replays or guides from) and refreshes (re-records) it in
-/// [`crate::sms::try_schedule_logged`].
+/// [`crate::sms::try_schedule`].
 #[derive(Debug, Clone, Default)]
 pub struct AttemptLog {
     /// The recorded steps. Always a faithful prefix of what the cold

@@ -32,7 +32,7 @@ use crate::proto::{
 use serde_json::Value;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -209,11 +209,6 @@ impl Engine {
         let mut cfg = TmsConfig {
             dense_candidates: req.knobs.dense_candidates,
             adaptive: req.knobs.adaptive,
-            // Per-request parallelism stays serial: the daemon's
-            // batching is the parallel axis, and serial per-request
-            // scheduling keeps every result bit-identical however
-            // requests land on workers.
-            parallelism: Parallelism::Serial,
             attempt_budget: self.plan.sched_budget(req.ddg.name()),
             deadline: req.deadline.or(self.default_deadline),
             ..TmsConfig::default()
@@ -358,14 +353,27 @@ impl BoundedQueue {
     }
 }
 
-fn write_line(writer: &Mutex<TcpStream>, line: &str) {
+/// How long one reply write may stall on a client that stopped
+/// reading. Past it the daemon gives the connection up (see
+/// [`write_line`]), so a non-reading client wedges neither its own
+/// connection threads nor `shutdown`, which joins them.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(3);
+
+/// Write one reply line; returns whether it was written. A dead client
+/// is its own problem and the daemon must not die with it, so a failed
+/// write — including one that stalled past [`WRITE_TIMEOUT`] — gives
+/// the connection up: the socket is shut down both ways, the reader
+/// sees EOF, and every later write fails fast.
+fn write_line(writer: &Mutex<TcpStream>, line: &str) -> bool {
     let mut w = lock(writer);
-    // A dead client is its own problem; the daemon must not die with
-    // it, so write errors are swallowed (the reader will see EOF and
-    // wind the connection down).
-    let _ = w.write_all(line.as_bytes());
-    let _ = w.write_all(b"\n");
-    let _ = w.flush();
+    let sent = w
+        .write_all(line.as_bytes())
+        .and_then(|()| w.write_all(b"\n"))
+        .and_then(|()| w.flush());
+    if sent.is_err() {
+        let _ = w.shutdown(Shutdown::Both);
+    }
+    sent.is_ok()
 }
 
 struct Shared {
@@ -377,7 +385,8 @@ struct Shared {
 }
 
 /// The reader half of one connection: parse lines, answer control
-/// verbs inline, enqueue or shed schedule requests.
+/// verbs inline, enqueue or shed schedule requests. Stops at EOF, at
+/// daemon shutdown, or when a reply can no longer be written.
 fn read_requests(
     stream: TcpStream,
     writer: Arc<Mutex<TcpStream>>,
@@ -411,15 +420,15 @@ fn read_requests(
             continue;
         }
         sh.engine.trace.count("tmsd.requests", 1);
-        match parse_request(line) {
+        let written = match parse_request(line) {
             Err(e) => {
                 sh.engine.trace.count("tmsd.errors", 1);
-                write_line(&writer, &reply_error(salvage_id(line), &e));
+                write_line(&writer, &reply_error(salvage_id(line), &e))
             }
             Ok(Request::Metrics { id }) => {
                 // Answered inline, bypassing the queue: observability
                 // must survive saturation.
-                write_line(&writer, &sh.engine.metrics_reply(id));
+                write_line(&writer, &sh.engine.metrics_reply(id))
             }
             Ok(Request::Shutdown { id }) => {
                 write_line(&writer, &reply_shutdown(id));
@@ -429,13 +438,19 @@ fn read_requests(
             Ok(Request::Schedule(req)) => {
                 let id = req.id;
                 match queue.push(req) {
-                    Ok(depth) => sh.engine.trace.record("tmsd.queue_depth", depth as u64),
+                    Ok(depth) => {
+                        sh.engine.trace.record("tmsd.queue_depth", depth as u64);
+                        true
+                    }
                     Err((depth, cap)) => {
                         sh.engine.trace.count("tmsd.shed", 1);
-                        write_line(&writer, &reply_overloaded(id, depth, cap));
+                        write_line(&writer, &reply_overloaded(id, depth, cap))
                     }
                 }
             }
+        };
+        if !written {
+            break;
         }
     }
     queue.close();
@@ -444,8 +459,11 @@ fn read_requests(
 /// One connection: spawn the reader, run the batch worker here, join.
 fn handle_conn(stream: TcpStream, sh: Arc<Shared>) {
     // A finite read timeout turns a silent client into periodic idle
-    // ticks, so shutdown is always observed within ~250ms.
+    // ticks, so shutdown is always observed within ~250ms; the write
+    // timeout bounds how long a client that stopped reading can stall
+    // a reply.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -457,7 +475,7 @@ fn handle_conn(stream: TcpStream, sh: Arc<Shared>) {
         std::thread::spawn(move || read_requests(stream, writer, queue, sh))
     };
 
-    while let Some(batch) = queue.pop_batch(sh.batch_max) {
+    'serve: while let Some(batch) = queue.pop_batch(sh.batch_max) {
         sh.engine.trace.count("tmsd.batches", 1);
         sh.engine
             .trace
@@ -467,7 +485,10 @@ fn handle_conn(stream: TcpStream, sh: Arc<Shared>) {
         // always yields one reply per request.
         let replies = par_map(sh.jobs, &batch, |_, req| sh.engine.process(req));
         for reply in replies {
-            write_line(&writer, &reply);
+            if !write_line(&writer, &reply) {
+                // The connection is given up; the reader sees EOF.
+                break 'serve;
+            }
         }
     }
     let _ = reader.join();

@@ -7,10 +7,9 @@
 //! identical fallback decision. Only the accounting may differ — the
 //! pruned search dispatches fewer attempts and reports what it skipped
 //! in `TmsResult::pruned`. These properties are pinned over the kernel
-//! suite plus a seeded fuzzed population, at one and four workers.
+//! suite plus a seeded fuzzed population.
 
 use tms_core::cost::CostModel;
-use tms_core::par::Parallelism;
 use tms_core::{schedule_tms, TmsConfig, TmsResult};
 use tms_ddg::{Ddg, InstId};
 use tms_machine::{ArchParams, MachineModel};
@@ -24,13 +23,12 @@ fn population() -> Vec<Ddg> {
     pop
 }
 
-fn tms_at(ddg: &Ddg, prune: bool, jobs: Parallelism) -> Option<TmsResult> {
+fn tms_at(ddg: &Ddg, prune: bool) -> Option<TmsResult> {
     let machine = MachineModel::icpp2008();
     let arch = ArchParams::icpp2008();
     let model = CostModel::new(arch.costs, arch.ncore);
     let cfg = TmsConfig {
         prune,
-        parallelism: jobs,
         ..TmsConfig::default()
     };
     schedule_tms(ddg, &machine, &model, &cfg).ok()
@@ -59,8 +57,8 @@ fn resolution(ddg: &Ddg, r: &TmsResult) -> impl PartialEq + std::fmt::Debug {
 fn pruned_search_resolves_identically_to_exhaustive() {
     let mut pruned_somewhere = false;
     for ddg in &population() {
-        let bnb = tms_at(ddg, true, Parallelism::Serial);
-        let exh = tms_at(ddg, false, Parallelism::Serial);
+        let bnb = tms_at(ddg, true);
+        let exh = tms_at(ddg, false);
         match (&bnb, &exh) {
             (Some(b), Some(e)) => {
                 assert_eq!(
@@ -116,42 +114,12 @@ fn pruned_search_resolves_identically_to_exhaustive() {
     );
 }
 
-#[test]
-fn pruned_search_is_identical_at_one_and_four_workers() {
-    for ddg in &population() {
-        let serial = tms_at(ddg, true, Parallelism::Serial);
-        let par = tms_at(ddg, true, Parallelism::Jobs(4));
-        match (&serial, &par) {
-            (Some(s), Some(p)) => {
-                assert_eq!(
-                    resolution(ddg, s),
-                    resolution(ddg, p),
-                    "{}: jobs=4 pruned search diverged",
-                    ddg.name()
-                );
-                // The pruning accounting itself is part of the
-                // determinism contract.
-                assert_eq!(s.attempts, p.attempts, "{}", ddg.name());
-                assert_eq!(s.pruned, p.pruned, "{}", ddg.name());
-                assert_eq!(s.lost_to_baseline, p.lost_to_baseline, "{}", ddg.name());
-                assert_eq!(s.budget_cut, p.budget_cut, "{}", ddg.name());
-            }
-            (None, None) => {}
-            _ => panic!(
-                "{}: schedulability differs between jobs=1 and jobs=4",
-                ddg.name()
-            ),
-        }
-    }
-}
-
-fn tms_warm(ddg: &Ddg, warm_start: bool, jobs: Parallelism) -> Option<TmsResult> {
+fn tms_warm(ddg: &Ddg, warm_start: bool) -> Option<TmsResult> {
     let machine = MachineModel::icpp2008();
     let arch = ArchParams::icpp2008();
     let model = CostModel::new(arch.costs, arch.ncore);
     let cfg = TmsConfig {
         warm_start,
-        parallelism: jobs,
         ..TmsConfig::default()
     };
     schedule_tms(ddg, &machine, &model, &cfg).ok()
@@ -182,30 +150,26 @@ fn full_fingerprint(ddg: &Ddg, r: &TmsResult) -> impl PartialEq + std::fmt::Debu
 /// Warm-started attempts — same-II decision-log replay *and* the
 /// cross-II guide that seeds a new II row from the nearest smaller one
 /// — must be byte-identical to the cold path: schedules, accounting,
-/// and rejection records alike, at one and four workers. jobs=4
-/// exercises the warm *wavefront* (per-worker log slots carried across
-/// chunks); the serial fold must not be able to tell.
+/// and rejection records alike.
 #[test]
 fn warm_start_is_byte_identical_to_cold() {
     for ddg in &population() {
-        for jobs in [Parallelism::Serial, Parallelism::Jobs(4)] {
-            let warm = tms_warm(ddg, true, jobs);
-            let cold = tms_warm(ddg, false, jobs);
-            match (&warm, &cold) {
-                (Some(w), Some(c)) => {
-                    assert_eq!(
-                        full_fingerprint(ddg, w),
-                        full_fingerprint(ddg, c),
-                        "{}: warm start diverged from cold at {jobs:?}",
-                        ddg.name()
-                    );
-                }
-                (None, None) => {}
-                _ => panic!(
-                    "{}: schedulability differs between warm and cold",
+        let warm = tms_warm(ddg, true);
+        let cold = tms_warm(ddg, false);
+        match (&warm, &cold) {
+            (Some(w), Some(c)) => {
+                assert_eq!(
+                    full_fingerprint(ddg, w),
+                    full_fingerprint(ddg, c),
+                    "{}: warm start diverged from cold",
                     ddg.name()
-                ),
+                );
             }
+            (None, None) => {}
+            _ => panic!(
+                "{}: schedulability differs between warm and cold",
+                ddg.name()
+            ),
         }
     }
 }
@@ -345,7 +309,7 @@ fn adaptive_search_stays_legal_and_deterministic() {
         }
         assert_eq!(
             a.is_some(),
-            tms_at(ddg, true, Parallelism::Serial).is_some(),
+            tms_at(ddg, true).is_some(),
             "{}: adaptive changed schedulability",
             ddg.name()
         );
@@ -353,43 +317,40 @@ fn adaptive_search_stays_legal_and_deterministic() {
 }
 
 /// Degradation budgets compose with pruning: the budget caps
-/// *dispatched* attempts, so a pruned search under a tight budget gets
-/// further through the candidate space than the exhaustive one — but
-/// both report the cut deterministically at every worker count.
+/// *dispatched* attempts and prunes never trip it, so a budgeted search
+/// walks exactly the unbudgeted search's attempt sequence. A budget the
+/// unbudgeted search fits in changes nothing; a tighter one cuts at
+/// exactly `budget` attempts and degrades to SMS.
 #[test]
 fn budgets_compose_with_pruning_deterministically() {
     let machine = MachineModel::icpp2008();
     let arch = ArchParams::icpp2008();
     let model = CostModel::new(arch.costs, arch.ncore);
     for ddg in population().iter().take(16) {
+        let Some(free) = tms_at(ddg, true) else {
+            continue;
+        };
         for budget in [1usize, 4, 9] {
-            let mut results = Vec::new();
-            for jobs in [Parallelism::Serial, Parallelism::Jobs(4)] {
-                let cfg = TmsConfig {
-                    prune: true,
-                    attempt_budget: Some(budget),
-                    parallelism: jobs,
-                    ..TmsConfig::default()
-                };
-                let r = schedule_tms(ddg, &machine, &model, &cfg).ok();
-                results.push(r.map(|r| {
-                    (
-                        resolution(ddg, &r),
-                        r.attempts,
-                        r.pruned,
-                        r.budget_cut,
-                        r.degraded.is_some(),
-                    )
-                }));
-            }
-            assert_eq!(
-                results[0],
-                results[1],
-                "{}: budget={budget} diverged across worker counts",
-                ddg.name()
-            );
-            if let Some((_, attempts, _, _, _)) = &results[0] {
-                assert!(*attempts <= budget, "{}: budget overrun", ddg.name());
+            let cfg = TmsConfig {
+                prune: true,
+                attempt_budget: Some(budget),
+                ..TmsConfig::default()
+            };
+            let r = schedule_tms(ddg, &machine, &model, &cfg)
+                .unwrap_or_else(|e| panic!("{}: budget={budget} errored: {e}", ddg.name()));
+            if free.attempts <= budget {
+                assert_eq!(
+                    full_fingerprint(ddg, &r),
+                    full_fingerprint(ddg, &free),
+                    "{}: budget={budget} changed a search that fits in it",
+                    ddg.name()
+                );
+                assert!(r.degraded.is_none(), "{}: budget={budget}", ddg.name());
+            } else {
+                assert_eq!(r.attempts, budget, "{}: budget overrun", ddg.name());
+                assert!(r.budget_cut, "{}: budget={budget} not cut", ddg.name());
+                assert!(r.fell_back_to_sms && r.degraded.is_some(), "{}", ddg.name());
+                assert!(r.pruned <= free.pruned, "{}", ddg.name());
             }
         }
     }

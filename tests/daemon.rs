@@ -6,7 +6,7 @@ use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tms_daemon::proto::{cache_key, key_hex, parse_request, Knobs, Request};
 use tms_daemon::{serve, DaemonConfig, Engine};
 use tms_faults::FaultPlan;
@@ -255,6 +255,66 @@ fn daemon_answers_over_tcp_and_shuts_down_cleanly() {
         .join()
         .expect("daemon thread must not panic")
         .expect("daemon must exit cleanly");
+}
+
+/// A client that pipelines requests and never reads a reply must not
+/// wedge the daemon: once its replies back up past the write timeout
+/// the daemon gives the connection up, so `serve` returns promptly
+/// after another client's acknowledged `shutdown` even while the
+/// stalled client is still connected.
+#[test]
+fn non_reading_client_cannot_block_shutdown() {
+    let (ready_tx, ready_rx) = mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel();
+    // `serve` reports its return over `done_tx`, so a wedged daemon
+    // fails the timed wait below instead of hanging a join.
+    let server = std::thread::spawn(move || {
+        let out = serve(&DaemonConfig::default(), Trace::disabled(), move |addr| {
+            let _ = ready_tx.send(addr);
+        });
+        let _ = done_tx.send(());
+        out
+    });
+    let addr = ready_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("daemon ready");
+
+    // Client A writes until its own writes stall (the daemon stopped
+    // reading) or fail (the daemon gave the connection up).
+    let silent = TcpStream::connect(addr).unwrap();
+    silent
+        .set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let line = format!("{}\n", schedule_line(1, &figure1(), 4));
+    let started = Instant::now();
+    while (&silent).write_all(line.as_bytes()).is_ok() {
+        assert!(
+            started.elapsed() < Duration::from_secs(120),
+            "a client that never reads never filled the daemon's buffers"
+        );
+    }
+
+    // Client B's shutdown is acknowledged...
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    (&stream)
+        .write_all(b"{\"id\":2,\"verb\":\"shutdown\"}\n")
+        .unwrap();
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).unwrap();
+    let v: Value = serde_json::from_str(reply.trim()).expect("reply must be JSON");
+    assert_eq!(v.get("shutdown").and_then(Value::as_bool), Some(true));
+    // ...and `serve` returns while client A is still connected.
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("serve did not return within 10 s of an acknowledged shutdown");
+    server
+        .join()
+        .expect("daemon thread must not panic")
+        .expect("daemon must exit cleanly");
+    drop(silent);
 }
 
 /// The daemon under a disabled fault plan is exactly the daemon under a

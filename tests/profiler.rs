@@ -2,16 +2,15 @@
 //!
 //! `TmsConfig::profile` turns on per-node attribution inside the
 //! placement loop. The attribution (counters, per-node tallies, value
-//! histograms) is folded serially over the consumed attempts, so it is
-//! contracted to be **bit-identical** at every worker count — only the
-//! `*_ns` wall-clock fields and the `tms.place.*` timers may differ
-//! between runs. These tests pin that contract, and that the profiler
-//! is absent (no metrics, no `TmsResult::profile`) when off.
+//! histograms) is folded over the dispatched attempts, so it is
+//! contracted to be **bit-identical** across runs — only the `*_ns`
+//! wall-clock fields and the `tms.place.*` timers may differ. These
+//! tests pin that contract, and that the profiler is absent (no
+//! metrics, no `TmsResult::profile`) when off.
 
 use tms_core::cost::CostModel;
-use tms_core::par::Parallelism;
 use tms_core::{schedule_tms_traced, PlaceProfile, TmsConfig, TmsResult};
-use tms_ddg::Ddg;
+use tms_ddg::{Ddg, InstId};
 use tms_machine::{ArchParams, MachineModel};
 use tms_trace::schema::{missing_profile_metrics, unknown_metrics};
 use tms_trace::{Histogram, Trace};
@@ -25,12 +24,11 @@ fn population() -> Vec<Ddg> {
     pop
 }
 
-fn tms_profiled(ddg: &Ddg, jobs: Parallelism, trace: &Trace) -> Option<TmsResult> {
+fn tms_profiled(ddg: &Ddg, trace: &Trace) -> Option<TmsResult> {
     let machine = MachineModel::icpp2008();
     let arch = ArchParams::icpp2008();
     let model = CostModel::new(arch.costs, arch.ncore);
     let cfg = TmsConfig {
-        parallelism: jobs,
         profile: true,
         ..TmsConfig::default()
     };
@@ -64,36 +62,55 @@ fn attribution(p: &PlaceProfile) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
+/// The profiler only observes: a profiled search (always cold) makes
+/// the same decisions as the default warm one, and its attribution and
+/// deterministic metrics repeat exactly from run to run.
 #[test]
-fn profile_attribution_is_identical_at_one_and_four_workers() {
+fn profiled_search_matches_default_and_repeats_exactly() {
+    let machine = MachineModel::icpp2008();
+    let arch = ArchParams::icpp2008();
+    let model = CostModel::new(arch.costs, arch.ncore);
     for ddg in &population() {
-        let serial_trace = Trace::enabled();
-        let serial = tms_profiled(ddg, Parallelism::Serial, &serial_trace);
-        let par_trace = Trace::enabled();
-        let par = tms_profiled(ddg, Parallelism::Jobs(4), &par_trace);
-        match (&serial, &par) {
-            (Some(s), Some(p)) => {
-                let sp = s.profile.as_ref().expect("profile on -> Some");
-                let pp = p.profile.as_ref().expect("profile on -> Some");
+        let first_trace = Trace::enabled();
+        let first = tms_profiled(ddg, &first_trace);
+        let again_trace = Trace::enabled();
+        let again = tms_profiled(ddg, &again_trace);
+        let plain = schedule_tms_traced(
+            ddg,
+            &machine,
+            &model,
+            &TmsConfig::default(),
+            &Trace::disabled(),
+        )
+        .ok();
+        match (&first, &again, &plain) {
+            (Some(a), Some(b), Some(c)) => {
                 assert_eq!(
-                    attribution(sp),
-                    attribution(pp),
-                    "{}: jobs=4 attribution diverged from jobs=1",
+                    attribution(a.profile.as_ref().expect("profile on -> Some")),
+                    attribution(b.profile.as_ref().expect("profile on -> Some")),
+                    "{}: attribution differs between identical runs",
                     ddg.name()
                 );
+                assert_eq!(
+                    (a.ii, a.c_delay_threshold, a.cost_key, a.attempts, a.pruned),
+                    (c.ii, c.c_delay_threshold, c.cost_key, c.attempts, c.pruned),
+                    "{}: profiling changed the search",
+                    ddg.name()
+                );
+                let times = |r: &TmsResult| -> Vec<i64> {
+                    (0..ddg.num_insts())
+                        .map(|i| r.schedule.time(InstId(i as u32)))
+                        .collect()
+                };
+                assert_eq!(times(a), times(c), "{}", ddg.name());
             }
-            (None, None) => {}
-            _ => panic!(
-                "{}: schedulability diverged across worker counts",
-                ddg.name()
-            ),
+            (None, None, None) => {}
+            _ => panic!("{}: profiling changed schedulability", ddg.name()),
         }
-        // The deterministic metrics slice (counters + value histograms;
-        // wall-clock timers live outside the snapshot) must agree too.
         assert_eq!(
-            serial_trace.metrics(),
-            par_trace.metrics(),
-            "{}: jobs=4 metrics snapshot diverged from jobs=1",
+            first_trace.metrics(),
+            again_trace.metrics(),
+            "{}: metrics snapshot differs between identical runs",
             ddg.name()
         );
     }
@@ -132,7 +149,7 @@ fn profile_on_populates_profile_and_schema_complete_metrics() {
     let trace = Trace::enabled();
     let mut scheduled = 0usize;
     for ddg in &population() {
-        let Some(r) = tms_profiled(ddg, Parallelism::Serial, &trace) else {
+        let Some(r) = tms_profiled(ddg, &trace) else {
             continue;
         };
         scheduled += 1;

@@ -8,6 +8,7 @@ use tms_core::lifetimes::max_live;
 use tms_core::metrics::{achieved_c_delay, kernel_misspec_prob};
 use tms_core::postpass::CommPlan;
 use tms_core::schedule::Schedule;
+use tms_core::tms::MAX_ATTEMPTS;
 use tms_core::{schedule_sms, schedule_tms, TmsConfig};
 use tms_ddg::Ddg;
 use tms_machine::{ArchParams, MachineModel};
@@ -105,7 +106,7 @@ fn tms_search_accounting_is_coherent() {
     for ddg in population() {
         let tms = schedule_tms(&ddg, &machine(), &model, &config).unwrap();
         assert!(tms.attempts >= 1, "{}", ddg.name());
-        assert!(tms.attempts <= config.max_attempts, "{}", ddg.name());
+        assert!(tms.attempts <= MAX_ATTEMPTS, "{}", ddg.name());
         assert!(
             tms.rejects.len() <= tms.rejected_candidates,
             "{}",
