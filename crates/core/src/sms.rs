@@ -12,8 +12,8 @@
 use crate::order::sms_order;
 use crate::profile::PlaceProfile;
 use crate::schedule::{PartialSchedule, Schedule};
-use crate::warm::{AttemptLog, FailKind, Probe, Step, StepAction, WinFacts};
-use crate::window::{force_floor_with, window_from_facts, window_into, WindowScratch};
+use crate::warm::{AttemptLog, FailKind, Probe, Step, StepAction};
+use crate::window::{force_floor_with, window_into, WindowScratch};
 use std::time::Instant;
 use tms_ddg::analysis::{AcyclicPriorities, TimeFrames};
 use tms_ddg::{Ddg, InstId};
@@ -251,14 +251,13 @@ pub fn order_priorities(order: &[InstId], num_insts: usize) -> Vec<usize> {
 ///
 /// With `log = Some(..)` the attempt warm-starts from an
 /// [`AttemptLog`] (see [`crate::warm`]): the log carries the decision
-/// trace of the previous attempt at this `ii`; steps whose recorded
-/// policy verdicts still hold under `policy`'s current knobs are
-/// applied without recomputing windows or consulting the policy, and
-/// the remainder runs cold, refreshing the log. Results are
-/// byte-identical to the cold call for *any* log contents — the log
-/// only changes how much work is recomputed. Pass a log recorded for a
-/// different loop, order, or II and the first probe mismatch simply
-/// falls back to the cold path.
+/// trace of the previous attempt on this loop at this `ii`; steps whose
+/// recorded policy verdicts still hold under `policy`'s current knobs
+/// are applied without recomputing windows or consulting the policy,
+/// and the remainder runs cold, refreshing the log. A log recorded for
+/// another loop or II is cleared first, so results are byte-identical
+/// to the cold call; the log only changes how much work is recomputed.
+/// The log must come from attempts that used this same `order`.
 ///
 /// With `prof = Some(..)` the placement profiler observes the attempt
 /// (see [`crate::profile`]): per-node attribution, probe outcomes,
@@ -346,28 +345,6 @@ fn schedule_all(
     earliest.clear();
     earliest.resize(ddg.num_insts(), i64::MIN);
 
-    // --- Cross-II guide adoption: a log recorded at a *smaller* II is
-    // not probe-replayable (its facts are functions of rows mod II),
-    // but its per-step window facts transfer upward (see
-    // `crate::warm`). Demote the steps to a passive guide for the cold
-    // loop below; the log itself re-records from scratch at this II.
-    // A log from a *larger* II is discarded — bounds transfer in one
-    // direction only.
-    let mut guide: Vec<Step> = Vec::new();
-    if let Some(log) = log.as_deref_mut() {
-        log.cross_replayed = 0;
-        if log.ii != 0 && log.ii != ii {
-            let steps = std::mem::take(&mut log.steps);
-            if log.ii < ii {
-                guide = steps;
-            }
-            log.complete = false;
-        }
-        log.ii = ii;
-    }
-    let mut guide_pos = 0usize;
-    let mut guide_live = !guide.is_empty();
-
     // --- Warm replay: apply the log's prefix while its recorded
     // verdicts still hold under the current policy knobs. A validated
     // step is exactly the step the cold loop would take from this
@@ -375,8 +352,14 @@ fn schedule_all(
     // policy calls — preserves byte-identical behaviour. The first
     // diverging step truncates the log; the cold loop below resumes
     // from the intermediate state (its cursor rescan skips whatever is
-    // already placed) and appends fresh steps.
+    // already placed) and appends fresh steps. A log recorded for
+    // another loop or II describes some other search and is cleared.
     if let Some(log) = log.as_deref_mut() {
+        let key = Some((ddg.uid(), ii));
+        if log.recorded_for != key {
+            log.steps.clear();
+            log.recorded_for = key;
+        }
         log.replayed = 0;
         log.executed = 0;
         let mut upto = 0usize;
@@ -414,10 +397,7 @@ fn schedule_all(
             upto += 1;
         }
         log.replayed = upto as u64;
-        if upto < log.steps.len() {
-            log.steps.truncate(upto);
-            log.complete = false;
-        }
+        log.steps.truncate(upto);
     }
     let profiling = prof.is_some();
     // The profiler reuses the warm-start probe recording to classify
@@ -431,60 +411,8 @@ fn schedule_all(
     while let Some(off) = order[cursor..].iter().position(|&n| !ps.is_placed(n)) {
         cursor += off;
         let v = order[cursor];
-        // While the guide is live, every executed action so far equals
-        // the recorded one, so the placed state is the recorded run's —
-        // a guide step whose facts are carried-free provably reproduces
-        // the sweeps at this larger II, and the sweeps are skipped. A
-        // guide step for a different node is a divergence in the making
-        // (the action comparison below will retire the guide); compute
-        // cold. The engine's hottest work is exactly these two sweeps,
-        // which is what makes the cross-II carryover pay.
-        let guide_facts = match guide.get(guide_pos) {
-            _ if !guide_live => None,
-            Some(gs) if gs.win.v == v && gs.win.carried_free => Some(gs.win),
-            Some(_) => None,
-            None => {
-                guide_live = false;
-                None
-            }
-        };
         let t_scan = profiling.then(Instant::now);
-        let facts = match guide_facts {
-            Some(f) => {
-                window_from_facts(
-                    f.kind,
-                    f.es,
-                    f.ls,
-                    ii,
-                    frames.asap[v.index()],
-                    &mut scratch.win.cycles,
-                );
-                // Differential check: the transferred facts must match
-                // what the sweeps compute at this II and state.
-                #[cfg(debug_assertions)]
-                {
-                    let regen = std::mem::take(&mut scratch.win.cycles);
-                    let kind = window_into(ddg, ps, frames, v, &mut scratch.win);
-                    debug_assert_eq!(kind, f.kind, "cross-II window kind diverged");
-                    debug_assert_eq!(scratch.win.cycles, regen, "cross-II window cycles diverged");
-                    scratch.win.cycles = regen;
-                }
-                if let Some(log) = log.as_deref_mut() {
-                    log.cross_replayed += 1;
-                }
-                f
-            }
-            None => {
-                let kind = window_into(ddg, ps, frames, v, &mut scratch.win);
-                WinFacts {
-                    v,
-                    kind,
-                    es: scratch.win.last_es,
-                    ls: scratch.win.last_ls,
-                    carried_free: scratch.win.carried_free,
-                }
-            }
-        };
+        window_into(ddg, ps, frames, v, &mut scratch.win);
         if let Some(p) = prof.as_deref_mut() {
             p.scan_ns += t_scan.unwrap().elapsed().as_nanos() as u64;
             p.note_scan(v);
@@ -511,19 +439,16 @@ fn schedule_all(
                 }
                 cursor += 1;
                 if let Some(log) = log.as_deref_mut() {
-                    let action = StepAction::Place { v, cycle: c };
-                    advance_guide(&guide, &mut guide_pos, &mut guide_live, &action);
                     log.executed += 1;
                     log.steps.push(Step {
                         probes,
-                        action,
-                        win: facts,
+                        action: StepAction::Place { v, cycle: c },
                     });
                 }
             }
             None => {
                 if eject_budget == 0 {
-                    record_fail(log, probes, facts, FailKind::EjectBudget);
+                    record_fail(log, probes, FailKind::EjectBudget);
                     return false;
                 }
                 eject_budget -= 1;
@@ -541,21 +466,6 @@ fn schedule_all(
                 let t_floor = profiling.then(Instant::now);
                 let lb = match scratch.win.cycles.iter().min().copied() {
                     Some(lb) => lb,
-                    None if guide_facts.is_some() => {
-                        // An empty window is always a `Both` whose late
-                        // start undercuts the early one (the other
-                        // kinds emit exactly II candidates), so the
-                        // transferred early start *is* what the forced
-                        // floor's lower sweep would recompute.
-                        let floor = facts.es.expect("empty window implies a bounded node");
-                        #[cfg(debug_assertions)]
-                        debug_assert_eq!(
-                            floor,
-                            force_floor_with(ddg, ps, frames, v, &mut scratch.win),
-                            "cross-II forced floor diverged"
-                        );
-                        floor
-                    }
                     None => force_floor_with(ddg, ps, frames, v, &mut scratch.win),
                 };
                 let floor = lb.max(scratch.earliest[v.index()]);
@@ -572,7 +482,7 @@ fn schedule_all(
                     p.classify_probes(&probes[probes_pre_force..], policy.scan_was_fast());
                 }
                 let Some(c) = forced else {
-                    record_fail(log, probes, facts, FailKind::NoForcedSlot);
+                    record_fail(log, probes, FailKind::NoForcedSlot);
                     return false;
                 };
                 scratch.earliest[v.index()] = c + 1;
@@ -598,7 +508,7 @@ fn schedule_all(
                 let t_fit = profiling.then(Instant::now);
                 if !ps.fits(ddg, v, c) {
                     scratch.ejected = eject_before;
-                    record_fail(log, probes, facts, FailKind::ForcedUnfit);
+                    record_fail(log, probes, FailKind::ForcedUnfit);
                     return false;
                 }
                 ps.place(ddg, v, c);
@@ -616,18 +526,15 @@ fn schedule_all(
                         }
                         p.note_force(chain_before + eject_after.len() as u64);
                     }
-                    let action = StepAction::Force {
-                        v,
-                        cycle: c,
-                        eject_before,
-                        eject_after,
-                    };
-                    advance_guide(&guide, &mut guide_pos, &mut guide_live, &action);
                     log.executed += 1;
                     log.steps.push(Step {
                         probes,
-                        action,
-                        win: facts,
+                        action: StepAction::Force {
+                            v,
+                            cycle: c,
+                            eject_before,
+                            eject_after,
+                        },
                     });
                 } else {
                     // Reuse the scratch buffer for the second eviction
@@ -648,37 +555,17 @@ fn schedule_all(
             }
         }
     }
-    if let Some(log) = log {
-        log.complete = true;
-    }
     true
 }
 
 /// Terminal failure step of a recorded attempt.
-fn record_fail(log: Option<&mut AttemptLog>, probes: Vec<Probe>, win: WinFacts, kind: FailKind) {
+fn record_fail(log: Option<&mut AttemptLog>, probes: Vec<Probe>, kind: FailKind) {
     if let Some(log) = log {
         log.executed += 1;
         log.steps.push(Step {
             probes,
             action: StepAction::Fail(kind),
-            win,
         });
-        log.complete = false;
-    }
-}
-
-/// Advance the cross-II guide past an executed step, or retire it on
-/// the first divergence. Action equality — eviction sets included — is
-/// what inductively pins the engine's placed state to the recorded
-/// run's, which is the soundness condition for consuming the guide's
-/// window facts on the *next* step.
-fn advance_guide(guide: &[Step], pos: &mut usize, live: &mut bool, action: &StepAction) {
-    if !*live {
-        return;
-    }
-    match guide.get(*pos) {
-        Some(gs) if gs.action == *action => *pos += 1,
-        _ => *live = false,
     }
 }
 

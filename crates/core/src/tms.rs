@@ -20,7 +20,7 @@ use crate::sms::{
     schedule_sms_with, try_schedule, SchedError, SchedScratch, SlotPolicy,
 };
 use crate::warm::{AttemptLog, Probe};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use tms_ddg::analysis::{AcyclicPriorities, TimeFrames};
 use tms_ddg::{Ddg, InstId};
 use tms_machine::{mii, CostConstants, MachineModel};
@@ -103,13 +103,9 @@ pub struct TmsConfig {
     /// The search keeps one [`AttemptLog`] per II and replays the
     /// recorded decision prefix of the previous attempt at that II
     /// under the new `(C_delay, P_max)` knobs, re-running the engine
-    /// only from the first step whose policy verdict changed. The first
-    /// attempt at a new II seeds its log from the nearest *smaller* II
-    /// already tried, demoted to a cross-II guide: window bounds whose
-    /// derivation was carried-free transfer to the larger II and skip
-    /// the longest-path sweeps, while probes, fits, and ejections are
-    /// recomputed live (see `crate::warm`'s module docs and DESIGN.md
-    /// §9.4). Replay and guiding are both equivalence-preserving —
+    /// only from the first step whose policy verdict changed (see
+    /// `crate::warm`'s module docs and DESIGN.md §9.3). The first
+    /// attempt at each II runs cold. Replay is equivalence-preserving —
     /// schedules and accounting are byte-identical to the cold path
     /// (`tests/bnb_equivalence.rs` pins this) — so the flag exists for
     /// A/B measurement, not correctness. The `tms.reuse.*` counters
@@ -807,24 +803,6 @@ impl SlotPolicy for TmsPolicy<'_> {
     }
 }
 
-/// Fetch (or create) the warm-start log for an II row. A row visited
-/// before returns its own log; a fresh row seeds from a *clone* of the
-/// nearest smaller II's log — the engine demotes it to a cross-II guide
-/// (`crate::warm`'s module docs) — or starts empty when no smaller row
-/// exists. Cloning (rather than moving) keeps the smaller row warm for
-/// the out-of-numeric-order revisits the cost shells produce.
-fn warm_log_for(logs: &mut BTreeMap<u32, AttemptLog>, ii: u32) -> &mut AttemptLog {
-    if !logs.contains_key(&ii) {
-        let seed = logs
-            .range(..ii)
-            .next_back()
-            .map(|(_, log)| log.clone())
-            .unwrap_or_default();
-        logs.insert(ii, seed);
-    }
-    logs.get_mut(&ii).expect("entry just ensured")
-}
-
 /// Run TMS on a loop.
 ///
 /// Candidates `(II, C_delay)` are visited in increasing `F` (exact
@@ -953,16 +931,12 @@ pub fn schedule_tms_traced(
     // across the whole search — including across adjacent II rows the
     // cost shells revisit out of numeric order.
     let mut frames_cache: HashMap<u32, Option<TimeFrames>> = HashMap::new();
-    // Per-II decision logs for warm-started attempts (ordered so a new
-    // II row can seed from the nearest smaller one — see
-    // `warm_log_for`), plus the reuse accounting recorded as
-    // `tms.reuse.*` after the search.
-    let mut warm_logs: BTreeMap<u32, AttemptLog> = BTreeMap::new();
+    // Per-II decision logs for warm-started attempts, plus the reuse
+    // accounting recorded as `tms.reuse.*` after the search.
+    let mut warm_logs: HashMap<u32, AttemptLog> = HashMap::new();
     let mut warm_attempts = 0u64;
     let mut steps_replayed = 0u64;
     let mut steps_executed = 0u64;
-    let mut cross_attempts = 0u64;
-    let mut cross_steps = 0u64;
     // Adaptive-density accounting (all stay zero when
     // `TmsConfig::adaptive` is off).
     let mut sync_rejections = 0u64;
@@ -1044,10 +1018,9 @@ pub fn schedule_tms_traced(
             // without entering the engine does not re-count the
             // previous attempt's reuse figures.
             let mut log = (config.warm_start && !config.profile).then(|| {
-                let log = warm_log_for(&mut warm_logs, ii);
+                let log = warm_logs.entry(ii).or_default();
                 log.replayed = 0;
                 log.executed = 0;
-                log.cross_replayed = 0;
                 log
             });
             let mut prof = config.profile.then(|| PlaceProfile::new(ddg.num_insts()));
@@ -1139,10 +1112,6 @@ pub fn schedule_tms_traced(
                 }
                 steps_replayed += log.replayed;
                 steps_executed += log.executed;
-                if log.cross_replayed > 0 {
-                    cross_attempts += 1;
-                }
-                cross_steps += log.cross_replayed;
             }
             if let (Some(sp), Some(p)) = (search_prof.as_mut(), &prof) {
                 sp.merge(p);
@@ -1240,12 +1209,8 @@ pub fn schedule_tms_traced(
     trace.count("tms.pruned.cost-bound", pruned_cost as u64);
     trace.count("tms.pruned.p-max-dup", pruned_pmax as u64);
     // Warm-start reuse accounting: attempts that replayed ≥ 1 recorded
-    // step, the step totals replayed vs executed cold, and the cross-II
-    // figures (attempts whose guide rebuilt ≥ 1 window from transferred
-    // facts, and those window-rebuild totals).
+    // step, and the step totals replayed vs executed cold.
     trace.count("tms.reuse.warm-attempts", warm_attempts);
-    trace.count("tms.reuse.cross-ii-attempts", cross_attempts);
-    trace.count("tms.reuse.cross-ii-steps-replayed", cross_steps);
     trace.count("tms.reuse.steps-replayed", steps_replayed);
     trace.count("tms.reuse.steps-executed", steps_executed);
     // Adaptive-density accounting: attempts whose outcome evidenced

@@ -23,57 +23,15 @@
 //! schedules, and byte-identical failures, to the cold one
 //! (`tests/bnb_equivalence.rs` pins this over fuzzed populations).
 //!
-//! # Cross-II carryover
-//!
-//! Probe facts do **not** transfer across II: sync delays and
-//! misspeculation products are functions of rows *modulo II*, so a log
-//! recorded at II can never be probe-replayed at II+1. What does
-//! transfer is each step's window derivation, when it was
-//! **carried-free** (no loop-carried edge relaxation improved a bound —
-//! see `crate::window`'s transfer argument): the recorded `es`/`ls`
-//! bounds, the [`crate::window::WindowKind`], and the carried-free
-//! property itself are provably what the sweeps would recompute at any
-//! larger II against the same placements. Each [`Step`] therefore
-//! records its [`WinFacts`]; when the engine receives a log recorded at
-//! a *smaller* II it demotes the steps from a replayable script to a
-//! passive **guide**: the cold loop runs in full — fits, probes,
-//! ejections, actions all recomputed live against the new II — but as
-//! long as every executed action equals the guide's recorded action
-//! (which inductively pins the placed state to the recorded run's), a
-//! guide step whose facts are carried-free substitutes its recorded
-//! bounds for the two longest-path sweeps. The first diverging action
-//! (or a non-transferable step) drops the guide and the search is
-//! simply cold from there, so byte-identity to the cold engine holds by
-//! construction. [`AttemptLog::ii`] carries the recording II; logs from
-//! a larger II are discarded (bounds transfer upward only).
+//! A log is only meaningful for the loop and II it was recorded at,
+//! under the same node order: its probes are functions of rows modulo
+//! II, and its actions name that loop's nodes in that order's
+//! sequence. The log remembers the `(Ddg::uid, II)` pair it was
+//! recorded for, and the engine clears a log whose pair does not match
+//! the attempt before replaying anything. The node order is the caller's
+//! to keep fixed; the TMS search uses one order per loop.
 
-use crate::window::WindowKind;
 use tms_ddg::InstId;
-
-/// The II-transferable derivation facts of one step's scheduling
-/// window, recorded alongside the step so a later attempt at a larger
-/// II can rebuild the window without the longest-path sweeps (see
-/// [`crate::window::window_from_facts`] and the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WinFacts {
-    /// The node the window was computed for.
-    pub v: InstId,
-    /// How the window was derived (which neighbour sides were placed —
-    /// a reachability fact, II-independent given the same placements).
-    pub kind: WindowKind,
-    /// Transitive early start (`None` when nothing upstream was
-    /// placed).
-    pub es: Option<i64>,
-    /// Transitive late start (`None` when nothing downstream was
-    /// placed).
-    pub ls: Option<i64>,
-    /// Neither bound sweep improved a distance through a loop-carried
-    /// edge: the bounds above transfer verbatim to any larger II. When
-    /// `false` the facts are II-bound and a guided replay recomputes
-    /// this step's window cold (the guide can still survive on action
-    /// match).
-    pub carried_free: bool,
-}
 
 /// The knob-independent facts behind one slot-policy verdict.
 ///
@@ -184,41 +142,27 @@ pub struct Step {
     pub probes: Vec<Probe>,
     /// The action the verdicts led to.
     pub action: StepAction,
-    /// Derivation facts of the window this step scanned (every engine
-    /// step computes exactly one window, `Fail` exits included). The
-    /// cross-II guide consumes these; same-II replay ignores them.
-    pub win: WinFacts,
 }
 
 /// A recorded attempt at one II, replayable under different
-/// `(C_delay, P_max)` knobs at the same II and demotable to a cross-II
-/// guide at a larger one. Owned by the TMS search's per-II cache
-/// (seeded across II rows from the nearest lower row); the engine both
-/// consumes (replays or guides from) and refreshes (re-records) it in
-/// [`crate::sms::try_schedule`].
+/// `(C_delay, P_max)` knobs at the same II. Owned by the TMS search's
+/// per-II cache; the engine both consumes (replays) and refreshes
+/// (re-records) it in [`crate::sms::try_schedule`].
 #[derive(Debug, Clone, Default)]
 pub struct AttemptLog {
     /// The recorded steps. Always a faithful prefix of what the cold
-    /// engine would do for *some* knob setting at [`AttemptLog::ii`]:
-    /// replay truncates at the first diverging step and recording
-    /// appends from there.
+    /// engine would do for *some* knob setting at the recorded loop
+    /// and II: replay truncates at the first diverging step and
+    /// recording appends from there.
     pub steps: Vec<Step>,
-    /// Whether the log ends in a completed schedule (every node
-    /// placed). A complete, fully-validated log rebuilds the schedule
-    /// without a single policy call.
-    pub complete: bool,
-    /// The II the steps were recorded at; `0` means never recorded
-    /// (a legal II is always ≥ 1). The engine replays a log whose II
-    /// matches the attempt, guides from one recorded at a smaller II,
-    /// and discards one from a larger II.
-    pub ii: u32,
+    /// The `(Ddg::uid, II)` the steps were recorded for; `None` means
+    /// never recorded. The engine replays a log only when the pair
+    /// matches the attempt and clears it otherwise.
+    pub(crate) recorded_for: Option<(u64, u32)>,
     /// Steps applied by replay in the most recent attempt.
     pub replayed: u64,
     /// Steps executed cold (and recorded) in the most recent attempt.
     pub executed: u64,
-    /// Steps of the most recent attempt whose window was rebuilt from
-    /// cross-II-transferred facts instead of the longest-path sweeps.
-    pub cross_replayed: u64,
 }
 
 impl AttemptLog {

@@ -27,26 +27,6 @@
 //! `min`) over paths — independent of edge iteration order — so the
 //! bounds, and therefore the schedules, are bit-identical to the
 //! naive repeated sweep.
-//!
-//! # Cross-II bound transfer
-//!
-//! Each sweep additionally reports whether any loop-carried
-//! (`distance > 0`) edge relaxation *improved* a distance. When none
-//! did — the window is **carried-free** — the bounds are derived purely
-//! from distance-0 paths out of placed nodes, whose contributions
-//! (`t(u) + Σ delay`) contain no `II` term. Such bounds transfer
-//! exactly to any **larger** II under the same placements: a carried
-//! candidate in the lower sweep, `dist(src) + delay − II·d` with
-//! `d ≥ 1`, only shrinks as II grows (and grows in the upper sweep's
-//! mirror), so every carried relaxation that failed to improve at the
-//! recorded II still fails at II′ > II, the distance evolution is
-//! unchanged, and the recomputed bound — and the carried-free property
-//! itself — are identical. Reachedness (whether a bound exists at all)
-//! propagates through finite candidates regardless of their value, so
-//! the [`WindowKind`] also transfers. [`window_from_facts`] exploits
-//! this to rebuild a window at a larger II without running either
-//! sweep; the warm-start layer (`crate::warm`) records the facts per
-//! engine step.
 
 use crate::schedule::PartialSchedule;
 use tms_ddg::analysis::TimeFrames;
@@ -125,24 +105,9 @@ pub struct WindowScratch {
     ///
     /// [`prepare`]: WindowScratch::prepare
     prepared_uid: Option<u64>,
-    /// Whether the most recent sweep improved any distance through a
-    /// loop-carried edge (set by both bound functions, combined into
-    /// [`WindowScratch::carried_free`] by [`window_into`]).
-    carried_seen: bool,
     /// Candidate cycles of the most recent [`window_into`] call,
     /// first-preference first.
     pub cycles: Vec<i64>,
-    /// Early start of the most recent [`window_into`] call (`None` when
-    /// no placed node bounded `v` from below).
-    pub last_es: Option<i64>,
-    /// Late start of the most recent [`window_into`] call (`None` when
-    /// no placed node bounded `v` from above).
-    pub last_ls: Option<i64>,
-    /// Whether the most recent [`window_into`] call was carried-free:
-    /// neither sweep improved a distance through a `distance > 0` edge,
-    /// so its bounds (and this very property) transfer verbatim to any
-    /// larger II under the same placements (see the module docs).
-    pub carried_free: bool,
 }
 
 impl WindowScratch {
@@ -243,7 +208,6 @@ fn lower_bound_with(
     // only way a sweep can miss the fixpoint, so sweeps repeat exactly
     // until one completes without such a write (no separate
     // confirmation pass is needed).
-    let mut carried = false;
     for _ in 0..=scratch.fwd_edges.len() {
         let mut rerun = false;
         for e in &scratch.fwd_edges {
@@ -255,7 +219,6 @@ fn lower_bound_with(
                 let cand = ds + e.delay - ii * e.distance;
                 if cand > dist[e.dst as usize] {
                     dist[e.dst as usize] = cand;
-                    carried |= e.distance > 0;
                     rerun |= e.back;
                 }
             }
@@ -264,7 +227,6 @@ fn lower_bound_with(
             break;
         }
     }
-    scratch.carried_seen = carried;
     let d = dist[v.index()];
     (d != i64::MIN).then_some(d)
 }
@@ -291,7 +253,6 @@ fn upper_bound_with(
     // so sweeps run in reverse topological order (sentinel `i64::MAX`,
     // `min` relaxation) and a relaxation with `rank[src] ≥ rank[dst]`
     // — the same precomputed `back` flag — forces another sweep.
-    let mut carried = false;
     for _ in 0..=scratch.bwd_edges.len() {
         let mut rerun = false;
         for e in &scratch.bwd_edges {
@@ -303,7 +264,6 @@ fn upper_bound_with(
                 let cand = dd - e.delay + ii * e.distance;
                 if cand < dist[e.src as usize] {
                     dist[e.src as usize] = cand;
-                    carried |= e.distance > 0;
                     rerun |= e.back;
                 }
             }
@@ -312,7 +272,6 @@ fn upper_bound_with(
             break;
         }
     }
-    scratch.carried_seen = carried;
     let d = dist[v.index()];
     (d != i64::MAX).then_some(d)
 }
@@ -372,11 +331,7 @@ pub fn window_into(
 ) -> WindowKind {
     let ii = ps.ii() as i64;
     let early = lower_bound_with(ddg, ps, v, scratch);
-    let lo_carried = scratch.carried_seen;
     let late = upper_bound_with(ddg, ps, v, scratch);
-    scratch.carried_free = !(lo_carried || scratch.carried_seen);
-    scratch.last_es = early;
-    scratch.last_ls = late;
 
     scratch.cycles.clear();
     match (early, late) {
@@ -397,47 +352,6 @@ pub fn window_into(
             scratch.cycles.extend(asap..asap + ii);
             WindowKind::Free
         }
-    }
-}
-
-/// Rebuild the candidate-cycle list a [`window_into`] call would
-/// produce, from its recorded derivation facts instead of the two
-/// longest-path sweeps. Sound only when the recording was
-/// **carried-free** and `ii` is **no smaller** than the II it was
-/// recorded at, against an identical partial schedule — exactly the
-/// conditions under which the module-doc transfer argument guarantees
-/// the sweeps would recompute the same `es`/`ls` (and the same
-/// Some/None pattern, hence the same `kind`). `asap` is the node's
-/// ASAP frame at the *new* II, which is all the `Free` case reads.
-///
-/// The warm-start layer enforces the conditions (and debug-asserts the
-/// equivalence differentially); this function just replays the range
-/// constructions of [`window_into`] verbatim.
-pub fn window_from_facts(
-    kind: WindowKind,
-    es: Option<i64>,
-    ls: Option<i64>,
-    ii: u32,
-    asap: i64,
-    cycles: &mut Vec<i64>,
-) {
-    let ii = ii as i64;
-    cycles.clear();
-    match kind {
-        WindowKind::PredsOnly => {
-            let es = es.expect("PredsOnly window recorded without an early start");
-            cycles.extend(es..es + ii);
-        }
-        WindowKind::SuccsOnly => {
-            let ls = ls.expect("SuccsOnly window recorded without a late start");
-            cycles.extend((ls - ii + 1..=ls).rev());
-        }
-        WindowKind::Both => {
-            let es = es.expect("Both window recorded without an early start");
-            let ls = ls.expect("Both window recorded without a late start");
-            cycles.extend(es..=ls.min(es + ii - 1));
-        }
-        WindowKind::Free => cycles.extend(asap..asap + ii),
     }
 }
 
@@ -607,87 +521,6 @@ mod tests {
         let w = window_of(&g, &ps, &frames, n2);
         assert_eq!(w.kind, WindowKind::Both);
         assert_eq!(w.cycles, vec![4], "recurrence forces exactly cycle 4");
-    }
-
-    /// Carried-free flag semantics: bounds derived purely from
-    /// distance-0 paths report carried-free; a loop-carried edge that
-    /// actually improves a distance clears it.
-    #[test]
-    fn carried_free_tracks_loop_carried_relaxations() {
-        // Acyclic chain: a(placed) -> c. Pure d=0 derivation.
-        let mut b = DdgBuilder::new("cf-acyclic");
-        let a = b.inst_lat("a", OpClass::FpMul, 4);
-        let c = b.inst("c", OpClass::IntAlu);
-        b.reg_flow(a, c, 0);
-        let g = b.build().unwrap();
-        let m = MachineModel::icpp2008();
-        let frames = TimeFrames::compute(&g, 4).unwrap();
-        let mut ps = PartialSchedule::new(&g, 4, &m);
-        ps.place(&g, a, 0);
-        let mut scratch = WindowScratch::default();
-        scratch.prepare(&g);
-        window_into(&g, &ps, &frames, c, &mut scratch);
-        assert!(scratch.carried_free, "d=0-only bounds must be carried-free");
-        assert_eq!(scratch.last_es, Some(4));
-        assert_eq!(scratch.last_ls, None);
-
-        // The paper's n6 shape: the bound comes through a distance-1
-        // edge (LS = 0 − 1 + 8), so it is II-dependent.
-        let mut b = DdgBuilder::new("cf-carried");
-        let n0 = b.inst("n0", OpClass::IntAlu);
-        let n6 = b.inst("n6", OpClass::IntAlu);
-        b.reg_flow(n6, n0, 1);
-        b.reg_flow(n6, n6, 1);
-        let g = b.build().unwrap();
-        let frames = TimeFrames::compute(&g, 8).unwrap();
-        let mut ps = PartialSchedule::new(&g, 8, &m);
-        ps.place(&g, n0, 0);
-        let mut scratch = WindowScratch::default();
-        scratch.prepare(&g);
-        window_into(&g, &ps, &frames, n6, &mut scratch);
-        assert!(
-            !scratch.carried_free,
-            "a distance-1 relaxation fixed the bound — not transferable"
-        );
-    }
-
-    /// The transfer theorem, end to end: a carried-free window's facts
-    /// rebuilt at a strictly larger II must equal the fresh sweeps at
-    /// that II under the same placements.
-    #[test]
-    fn carried_free_facts_transfer_to_larger_ii() {
-        let mut b = DdgBuilder::new("transfer");
-        let a = b.inst_lat("a", OpClass::FpMul, 4);
-        let v = b.inst("v", OpClass::IntAlu);
-        let z = b.inst("z", OpClass::IntAlu);
-        b.reg_flow(a, v, 0);
-        b.reg_flow(v, z, 0);
-        let g = b.build().unwrap();
-        let m = MachineModel::icpp2008();
-        let mut scratch = WindowScratch::default();
-        scratch.prepare(&g);
-        // Record at II=4 with a and z placed (a Both window).
-        let frames4 = TimeFrames::compute(&g, 4).unwrap();
-        let mut ps4 = PartialSchedule::new(&g, 4, &m);
-        ps4.place(&g, a, 0);
-        ps4.place(&g, z, 7);
-        let kind = window_into(&g, &ps4, &frames4, v, &mut scratch);
-        assert!(scratch.carried_free);
-        let (es, ls) = (scratch.last_es, scratch.last_ls);
-        for ii2 in [5u32, 6, 9] {
-            let frames2 = TimeFrames::compute(&g, ii2).unwrap();
-            let mut ps2 = PartialSchedule::new(&g, ii2, &m);
-            ps2.place(&g, a, 0);
-            ps2.place(&g, z, 7);
-            let fresh_kind = window_into(&g, &ps2, &frames2, v, &mut scratch);
-            let fresh: Vec<i64> = scratch.cycles.clone();
-            assert_eq!(fresh_kind, kind, "II={ii2}: kind must transfer");
-            assert!(scratch.carried_free, "II={ii2}: carried-free transfers");
-            assert_eq!((scratch.last_es, scratch.last_ls), (es, ls));
-            let mut regen = Vec::new();
-            window_from_facts(kind, es, ls, ii2, frames2.asap[v.index()], &mut regen);
-            assert_eq!(regen, fresh, "II={ii2}: regenerated window diverged");
-        }
     }
 
     #[test]

@@ -43,8 +43,6 @@ pub const KNOWN_COUNTERS: &[&str] = &[
     "tms.pruned.cost-bound",
     "tms.pruned.p-max-dup",
     "tms.rejected",
-    "tms.reuse.cross-ii-attempts",
-    "tms.reuse.cross-ii-steps-replayed",
     "tms.reuse.steps-executed",
     "tms.reuse.steps-replayed",
     "tms.reuse.warm-attempts",
@@ -93,8 +91,6 @@ pub const TMS_REQUIRED_COUNTERS: &[&str] = &[
     "tms.attempts",
     "tms.pruned.cost-bound",
     "tms.pruned.p-max-dup",
-    "tms.reuse.cross-ii-attempts",
-    "tms.reuse.cross-ii-steps-replayed",
     "tms.reuse.steps-executed",
     "tms.reuse.steps-replayed",
     "tms.reuse.warm-attempts",
@@ -206,8 +202,6 @@ mod tests {
         assert!(is_known_counter("tms.reject.lost-to-baseline"));
         assert!(is_known_counter("tms.reuse.warm-attempts"));
         assert!(is_known_counter("tms.reuse.steps-replayed"));
-        assert!(is_known_counter("tms.reuse.cross-ii-attempts"));
-        assert!(is_known_counter("tms.reuse.cross-ii-steps-replayed"));
         assert!(is_known_counter("tms.adaptive.coarsened"));
         assert!(is_known_value("tms.pruned_per_loop"));
         assert!(is_known_counter("tms.place.scans"));
