@@ -22,7 +22,6 @@
 //! under `benches/` time the same entry points.
 
 pub mod ablation;
-pub mod baseline;
 pub mod config;
 pub mod design_ablations;
 pub mod fig4;
@@ -35,6 +34,5 @@ pub mod schedulers;
 pub mod table1;
 pub mod table2;
 pub mod table3;
-pub mod throughput;
 
 pub use config::ExperimentConfig;

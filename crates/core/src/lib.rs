@@ -72,7 +72,7 @@ pub use cost::CostModel;
 pub use diagnostics::{verify_schedule, Diagnostic, VerifyLimits};
 pub use ims::{schedule_ims, ImsResult};
 pub use metrics::LoopMetrics;
-pub use par::{par_map, par_map_with, Parallelism};
+pub use par::{par_map, Parallelism};
 pub use postpass::CommPlan;
 pub use profile::{NodeHotspot, PlaceProfile};
 pub use schedule::{PartialSchedule, Schedule};

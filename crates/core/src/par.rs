@@ -1,10 +1,10 @@
 //! Deterministic bounded worker pools.
 //!
 //! Every parallel path in the system — the `tms-verify` family sweeps,
-//! the per-loop experiment and benchmark drivers, tmsd's request
-//! batches — funnels through [`par_map`]/[`par_map_with`]: a scoped
-//! `std::thread` fan-out over a slice whose results are always returned
-//! **in input order**, regardless of which worker finished first.
+//! the per-loop experiment drivers, tmsd's request batches — funnels
+//! through [`par_map`]: a scoped `std::thread` fan-out over a slice
+//! whose results are always returned **in input order**, regardless of
+//! which worker finished first.
 //! Callers therefore get bit-identical output at any worker count,
 //! which is what lets the determinism tests compare `jobs=1` against
 //! `jobs=4` directly. Parallelism is always across loops or requests:
@@ -22,22 +22,21 @@
 //! pathological loop would otherwise abort an entire sharded sweep),
 //! and — just as important — must not perturb the results of its
 //! neighbours. Each item runs under [`catch_unwind`]; on a panic the
-//! worker discards its scratch state (the unwound closure may have
-//! left it inconsistent), notes the item's index, and moves on. After
-//! the pool drains, the failed items are re-executed serially **in
-//! input order** with fresh scratch, so a transient panic (e.g. an
-//! injected fault that fires once) converges to exactly the serial
-//! result at any worker count. An item that panics again on the serial
-//! retry has a genuine, deterministic bug — that second panic
-//! propagates. Every caught panic increments the process-wide
-//! [`panics_caught`] counter so harnesses can assert on containment.
+//! worker notes the item's index and moves on. After the pool drains,
+//! the failed items are re-executed serially **in input order**, so a
+//! transient panic (e.g. an injected fault that fires once) converges
+//! to exactly the serial result at any worker count. An item that
+//! panics again on the serial retry has a genuine, deterministic bug —
+//! that second panic propagates. Every caught panic increments the
+//! process-wide [`panics_caught`] counter so harnesses can assert on
+//! containment.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Process-wide count of worker panics caught (and recovered) by
-/// [`par_map_with`]. Monotonic; see [`panics_caught`].
+/// [`par_map`]. Monotonic; see [`panics_caught`].
 static PANICS_CAUGHT: AtomicU64 = AtomicU64::new(0);
 
 /// Total worker panics caught and recovered since process start.
@@ -115,107 +114,53 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_with(par, items, || (), |(), i, t| f(i, t))
-}
-
-/// [`par_map`] with reusable per-worker scratch state: `init` runs once
-/// per worker (once total on the serial path) and the resulting value
-/// is threaded through every call that worker executes. This is how
-/// the scheduling hot paths amortise their per-attempt allocations
-/// (see `tms_core::sms::SchedScratch`).
-pub fn par_map_with<T, R, S, I, F>(par: Parallelism, items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    let workers = par.workers().min(items.len()).max(1);
-    if workers <= 1 {
-        let mut scratch = init();
-        let mut out: Vec<(usize, R)> = Vec::with_capacity(items.len());
-        let mut failed: Vec<usize> = Vec::new();
-        for (i, t) in items.iter().enumerate() {
-            match catch_unwind(AssertUnwindSafe(|| f(&mut scratch, i, t))) {
+    let cursor = AtomicUsize::new(0);
+    let failed: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+    // One worker's loop: claim the next index, run it contained, and
+    // keep `(index, result)` pairs. The serial path runs it inline.
+    let drain = || {
+        let mut out: Vec<(usize, R)> = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break out;
+            }
+            match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
                 Ok(r) => out.push((i, r)),
                 Err(_) => {
                     PANICS_CAUGHT.fetch_add(1, Ordering::Relaxed);
-                    scratch = init();
-                    failed.push(i);
+                    failed
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .push(i);
                 }
             }
         }
-        return finish(items, out, failed, &init, &f);
-    }
+    };
+    let workers = par.workers().min(items.len()).max(1);
+    let mut merged = if workers <= 1 {
+        drain()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
+            handles
+                .into_iter()
+                // With per-item containment the worker body cannot
+                // unwind; this expect is an unreachable backstop.
+                .flat_map(|h| h.join().expect("par_map worker panicked"))
+                .collect()
+        })
+    };
 
-    let cursor = AtomicUsize::new(0);
-    let failed: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-    let shards: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let cursor = &cursor;
-        let failed = &failed;
-        let (f, init) = (&f, &init);
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut scratch = init();
-                    let mut out: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| f(&mut scratch, i, &items[i]))) {
-                            Ok(r) => out.push((i, r)),
-                            Err(_) => {
-                                PANICS_CAUGHT.fetch_add(1, Ordering::Relaxed);
-                                scratch = init();
-                                failed
-                                    .lock()
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                    .push(i);
-                            }
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // With per-item containment the worker body cannot unwind;
-            // this expect is an unreachable backstop.
-            .map(|h| h.join().expect("par_map worker panicked"))
-            .collect()
-    });
-
-    let merged: Vec<(usize, R)> = shards.into_iter().flatten().collect();
-    let failed = failed
+    // Re-execute failed items serially in input order, then sort
+    // everything back to input order. A second panic here is a
+    // deterministic bug and propagates to the caller.
+    let mut failed = failed
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    finish(items, merged, failed, &init, &f)
-}
-
-/// Re-execute `failed` items serially in input order with fresh
-/// scratch, then sort everything back to input order. A second panic
-/// here is a deterministic bug and propagates to the caller.
-fn finish<T, R, S, I, F>(
-    items: &[T],
-    mut merged: Vec<(usize, R)>,
-    mut failed: Vec<usize>,
-    init: &I,
-    f: &F,
-) -> Vec<R>
-where
-    I: Fn() -> S,
-    F: Fn(&mut S, usize, &T) -> R,
-{
-    if !failed.is_empty() {
-        failed.sort_unstable();
-        let mut scratch = init();
-        for i in failed {
-            merged.push((i, f(&mut scratch, i, &items[i])));
-        }
+    failed.sort_unstable();
+    for i in failed {
+        merged.push((i, f(i, &items[i])));
     }
     debug_assert_eq!(merged.len(), items.len());
     merged.sort_unstable_by_key(|&(i, _)| i);
@@ -248,22 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_is_reused_within_a_worker() {
-        // On the serial path the single scratch sees every item.
-        let items: Vec<u32> = (0..10).collect();
-        let counts = par_map_with(
-            Parallelism::Serial,
-            &items,
-            || 0usize,
-            |seen, _, _| {
-                *seen += 1;
-                *seen
-            },
-        );
-        assert_eq!(counts, (1..=10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn from_jobs_maps_zero_to_auto_and_one_to_serial() {
         assert_eq!(Parallelism::from_jobs(0), Parallelism::Auto);
         assert_eq!(Parallelism::from_jobs(1), Parallelism::Serial);
@@ -284,18 +213,11 @@ mod tests {
         }
     }
 
-    /// Held by every test that makes a pool catch a panic: the
-    /// `panics_caught` counter is process-wide and tests run in
-    /// parallel, so an exact delta is only the asserting test's own
-    /// while no other such test runs.
-    static CAUGHT_PANICS: Mutex<()> = Mutex::new(());
-
+    /// The only test here that makes a pool catch a panic, so the
+    /// process-wide `panics_caught` delta is its own.
     #[test]
     fn transient_panic_is_caught_and_retried_in_order() {
         use std::collections::BTreeSet;
-        let _own = CAUGHT_PANICS
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let items: Vec<u64> = (0..97).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * 3).collect();
         for par in [Parallelism::Serial, Parallelism::Jobs(4)] {
@@ -311,47 +233,5 @@ mod tests {
             assert_eq!(got, expect, "{par:?}");
             assert_eq!(panics_caught() - before, 2, "{par:?}");
         }
-    }
-
-    #[test]
-    fn scratch_is_rebuilt_after_a_caught_panic() {
-        // The panicking item bumps the scratch before unwinding; the
-        // retry must see a fresh one, not the poisoned survivor.
-        let _own = CAUGHT_PANICS
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let items: Vec<u32> = (0..8).collect();
-        let first = std::sync::atomic::AtomicBool::new(true);
-        let got = par_map_with(
-            Parallelism::Serial,
-            &items,
-            || 0u32,
-            |dirty, i, &x| {
-                if i == 3 && first.swap(false, Ordering::Relaxed) {
-                    *dirty = 99;
-                    panic!("injected");
-                }
-                x + *dirty
-            },
-        );
-        assert_eq!(got, items);
-    }
-
-    #[test]
-    fn worker_results_match_serial_reference_with_state() {
-        let items: Vec<u64> = (0..64).collect();
-        let serial = par_map_with(
-            Parallelism::Serial,
-            &items,
-            || 0u64,
-            |_, i, &x| x + i as u64,
-        );
-        let parallel = par_map_with(
-            Parallelism::Jobs(4),
-            &items,
-            || 0u64,
-            |_, i, &x| x + i as u64,
-        );
-        assert_eq!(serial, parallel);
     }
 }

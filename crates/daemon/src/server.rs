@@ -9,6 +9,7 @@
 //!   │            │    └─ metrics/shutdown answered inline (never queued,
 //!   │            │       so the daemon stays observable under load)
 //!   │            └─ parse error → structured `error` reply
+//!   │            └─ line past `MAX_LINE_BYTES` → `error` reply, closed
 //!   │            └─ queue full → `overloaded` reply (shed, counted)
 //!   └─ injected accept fault → bounded backoff + retry (the connection
 //!      waits in the listen backlog; it is never dropped)
@@ -31,7 +32,7 @@ use crate::proto::{
 };
 use serde_json::Value;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -384,9 +385,16 @@ struct Shared {
     jobs: Parallelism,
 }
 
+/// Longest request line the reader accepts, newline excluded. The
+/// largest Fig. 4 DDG serialises to 43.5 KB. A client that sends more
+/// without a newline gets an `error` reply naming the cap, and its
+/// connection is closed, so no client can grow a buffer without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// The reader half of one connection: parse lines, answer control
 /// verbs inline, enqueue or shed schedule requests. Stops at EOF, at
-/// daemon shutdown, or when a reply can no longer be written.
+/// daemon shutdown, at an over-long line, or when a reply can no
+/// longer be written.
 fn read_requests(
     stream: TcpStream,
     writer: Arc<Mutex<TcpStream>>,
@@ -394,14 +402,25 @@ fn read_requests(
     sh: Arc<Shared>,
 ) {
     let mut reader = BufReader::new(stream);
-    let mut buf = String::new();
+    // The bytes of the line being read. An idle tick can split a line,
+    // even inside a multi-byte character, so they stay here across
+    // ticks and are decoded only once the newline has arrived.
+    let mut buf: Vec<u8> = Vec::new();
     loop {
         if sh.shutdown.load(Ordering::Acquire) {
             break;
         }
-        buf.clear();
-        match reader.read_line(&mut buf) {
-            Ok(0) => break, // EOF: client is done
+        // One byte past the cap is enough to tell that a line broke it.
+        let room = (MAX_LINE_BYTES + 1).saturating_sub(buf.len()) as u64;
+        let read = (&mut reader).take(room).read_until(b'\n', &mut buf);
+        if buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+            sh.engine.trace.count("tmsd.requests", 1);
+            let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes; closing connection");
+            refuse(&writer, &sh, 0, &msg);
+            break;
+        }
+        match read {
+            Ok(0) if buf.is_empty() => break, // EOF: client is done
             Ok(_) => {}
             Err(e)
                 if matches!(
@@ -415,45 +434,59 @@ fn read_requests(
             }
             Err(_) => break,
         }
-        let line = buf.trim();
-        if line.is_empty() {
-            continue;
-        }
-        sh.engine.trace.count("tmsd.requests", 1);
-        let written = match parse_request(line) {
+        let more = match std::str::from_utf8(&buf).map(str::trim) {
+            Ok("") => true,
+            Ok(line) => answer(line, &writer, &queue, &sh),
             Err(e) => {
-                sh.engine.trace.count("tmsd.errors", 1);
-                write_line(&writer, &reply_error(salvage_id(line), &e))
-            }
-            Ok(Request::Metrics { id }) => {
-                // Answered inline, bypassing the queue: observability
-                // must survive saturation.
-                write_line(&writer, &sh.engine.metrics_reply(id))
-            }
-            Ok(Request::Shutdown { id }) => {
-                write_line(&writer, &reply_shutdown(id));
-                sh.shutdown.store(true, Ordering::Release);
-                break;
-            }
-            Ok(Request::Schedule(req)) => {
-                let id = req.id;
-                match queue.push(req) {
-                    Ok(depth) => {
-                        sh.engine.trace.record("tmsd.queue_depth", depth as u64);
-                        true
-                    }
-                    Err((depth, cap)) => {
-                        sh.engine.trace.count("tmsd.shed", 1);
-                        write_line(&writer, &reply_overloaded(id, depth, cap))
-                    }
-                }
+                sh.engine.trace.count("tmsd.requests", 1);
+                refuse(&writer, &sh, 0, &format!("request is not UTF-8: {e}"))
             }
         };
-        if !written {
+        buf.clear();
+        if !more {
             break;
         }
     }
     queue.close();
+}
+
+/// Answer one request line: control verbs inline, schedule requests
+/// into the queue or shed. Returns whether the reader should go on.
+fn answer(line: &str, writer: &Mutex<TcpStream>, queue: &BoundedQueue, sh: &Shared) -> bool {
+    sh.engine.trace.count("tmsd.requests", 1);
+    match parse_request(line) {
+        Err(e) => refuse(writer, sh, salvage_id(line), &e),
+        Ok(Request::Metrics { id }) => {
+            // Answered inline, bypassing the queue: observability
+            // must survive saturation.
+            write_line(writer, &sh.engine.metrics_reply(id))
+        }
+        Ok(Request::Shutdown { id }) => {
+            write_line(writer, &reply_shutdown(id));
+            sh.shutdown.store(true, Ordering::Release);
+            false
+        }
+        Ok(Request::Schedule(req)) => {
+            let id = req.id;
+            match queue.push(req) {
+                Ok(depth) => {
+                    sh.engine.trace.record("tmsd.queue_depth", depth as u64);
+                    true
+                }
+                Err((depth, cap)) => {
+                    sh.engine.trace.count("tmsd.shed", 1);
+                    write_line(writer, &reply_overloaded(id, depth, cap))
+                }
+            }
+        }
+    }
+}
+
+/// Answer a request that cannot be served with an `error` reply,
+/// counted in `tmsd.errors`. Returns whether the reply was written.
+fn refuse(writer: &Mutex<TcpStream>, sh: &Shared, id: u64, msg: &str) -> bool {
+    sh.engine.trace.count("tmsd.errors", 1);
+    write_line(writer, &reply_error(id, msg))
 }
 
 /// One connection: spawn the reader, run the batch worker here, join.

@@ -68,8 +68,11 @@
 //! Tracing is **off by default**: [`Trace::disabled`] carries no sink
 //! at all (a sealed no-op — the sink type is private and cannot be
 //! constructed empty), and every recording method bails on one pointer
-//! check before any formatting or locking. `sched-throughput` asserts
-//! the disabled path is within noise of the un-instrumented baseline.
+//! check before any formatting or locking. The plain entry points
+//! (`schedule_tms`, `simulate_spmt`) are the traced ones called with a
+//! disabled handle, so they pay exactly that. For where the time goes,
+//! see perfbench's `--trace 1` run (`core.tms.place_share`) and
+//! `tms profile`.
 //!
 //! ```
 //! use tms_trace::Trace;

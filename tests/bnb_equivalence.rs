@@ -209,45 +209,6 @@ fn warm_start_composes_with_budgets() {
     }
 }
 
-/// Same-II replay is pinned exactly over this population: the
-/// `tms.reuse.*` totals below are the engine's reuse figures, so any
-/// change to what the decision logs record or replay shows up here,
-/// not only a cache that went dead.
-#[test]
-fn warm_start_replays_steps_somewhere() {
-    let machine = MachineModel::icpp2008();
-    let arch = ArchParams::icpp2008();
-    let model = CostModel::new(arch.costs, arch.ncore);
-    let trace = tms_trace::Trace::enabled();
-    for ddg in &population() {
-        let _ = tms_core::tms::schedule_tms_traced(
-            ddg,
-            &machine,
-            &model,
-            &TmsConfig::default(),
-            &trace,
-        );
-    }
-    let metrics = trace.metrics();
-    let reuse: Vec<(&str, Option<u64>)> = [
-        "tms.reuse.warm-attempts",
-        "tms.reuse.steps-replayed",
-        "tms.reuse.steps-executed",
-    ]
-    .into_iter()
-    .map(|name| (name, metrics.counters.get(name).copied()))
-    .collect();
-    assert_eq!(
-        reuse,
-        [
-            ("tms.reuse.warm-attempts", Some(4252)),
-            ("tms.reuse.steps-replayed", Some(133865)),
-            ("tms.reuse.steps-executed", Some(79809)),
-        ],
-        "same-II replay totals drifted over the population"
-    );
-}
-
 /// A decision log only replays on the loop and II it was recorded for.
 /// Every ordered pair of distinct kernel and Livermore loops is tried at
 /// a few IIs: a log recorded on the first loop, handed to an attempt on

@@ -1,13 +1,16 @@
 //! `tmsd` integration tests: the golden cache-key pin, the warm-equals-
 //! cold byte-identity property, torn-cache-file recovery through a
-//! daemon restart, and one end-to-end TCP round trip.
+//! daemon restart, and end-to-end TCP exchanges, including split and
+//! over-long request lines.
 
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tms_daemon::proto::{cache_key, key_hex, parse_request, Knobs, Request};
+use tms_daemon::server::MAX_LINE_BYTES;
 use tms_daemon::{serve, DaemonConfig, Engine};
 use tms_faults::FaultPlan;
 use tms_machine::MachineModel;
@@ -202,21 +205,33 @@ fn torn_cache_file_recovers_valid_prefix_on_restart() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// End to end over TCP: schedule, malformed line, metrics, shutdown —
-/// one daemon on an ephemeral port, every reply structured, clean exit.
-#[test]
-fn daemon_answers_over_tcp_and_shuts_down_cleanly() {
+/// A daemon on an ephemeral port, with its address and its `serve`
+/// thread.
+fn start_daemon() -> (SocketAddr, JoinHandle<Result<(), String>>) {
     let (tx, rx) = mpsc::channel();
     let server = std::thread::spawn(move || {
-        let cfg = DaemonConfig::default();
-        serve(&cfg, Trace::enabled(), move |addr| {
+        serve(&DaemonConfig::default(), Trace::enabled(), move |addr| {
             let _ = tx.send(addr);
         })
     });
     let addr = rx
         .recv_timeout(Duration::from_secs(10))
         .expect("daemon ready");
+    (addr, server)
+}
 
+/// Read one reply line from `reader` as JSON.
+fn read_reply(reader: &mut impl BufRead) -> Value {
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("a reply line");
+    serde_json::from_str(reply.trim()).expect("reply must be JSON")
+}
+
+/// End to end over TCP: schedule, malformed line, metrics, shutdown —
+/// one daemon on an ephemeral port, every reply structured, clean exit.
+#[test]
+fn daemon_answers_over_tcp_and_shuts_down_cleanly() {
+    let (addr, server) = start_daemon();
     let stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
@@ -227,9 +242,7 @@ fn daemon_answers_over_tcp_and_shuts_down_cleanly() {
         writer.write_all(line.as_bytes()).unwrap();
         writer.write_all(b"\n").unwrap();
         writer.flush().unwrap();
-        let mut reply = String::new();
-        reader.read_line(&mut reply).unwrap();
-        serde_json::from_str(reply.trim()).expect("reply must be JSON")
+        read_reply(&mut reader)
     };
 
     let v = ask(&schedule_line(7, &figure1(), 4));
@@ -315,6 +328,93 @@ fn non_reading_client_cannot_block_shutdown() {
         .expect("daemon thread must not panic")
         .expect("daemon must exit cleanly");
     drop(silent);
+}
+
+/// A request line that arrives in pieces more than one read-timeout
+/// tick (250 ms) apart is answered whole, also when the split falls
+/// inside a multi-byte character.
+#[test]
+fn request_split_across_idle_ticks_is_answered_whole() {
+    let (addr, server) = start_daemon();
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let lines = [
+        r#"{"id":5,"verb":"metrics"}"#.to_string(),
+        "{\"id\":6,\"verb\":\"metrics\",\"note\":\"\u{e9}\"}".to_string(),
+    ];
+    for (line, (want_id, split)) in lines.iter().zip([(5, 5), (6, 34)]) {
+        let bytes = format!("{line}\n").into_bytes();
+        (&stream).write_all(&bytes[..split]).unwrap();
+        std::thread::sleep(Duration::from_millis(600));
+        (&stream).write_all(&bytes[split..]).unwrap();
+        let v = read_reply(&mut reader);
+        assert_eq!(v.get("id").and_then(Value::as_u64), Some(want_id), "{v:?}");
+        assert_eq!(v.get("status").and_then(Value::as_str), Some("ok"), "{v:?}");
+    }
+    (&stream)
+        .write_all(b"{\"id\":7,\"verb\":\"shutdown\"}\n")
+        .unwrap();
+    let v = read_reply(&mut reader);
+    assert_eq!(v.get("shutdown").and_then(Value::as_bool), Some(true));
+    server
+        .join()
+        .expect("daemon thread must not panic")
+        .expect("daemon must exit cleanly");
+}
+
+/// A client that sends more than `MAX_LINE_BYTES` without a newline
+/// gets an `error` reply naming the cap and then EOF; the daemon counts
+/// the error and goes on serving other clients. A line that is not
+/// UTF-8 is refused too, but its connection stays open.
+#[test]
+fn over_long_request_line_is_refused_and_closed() {
+    let (addr, server) = start_daemon();
+    let greedy = TcpStream::connect(addr).unwrap();
+    greedy
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    (&greedy)
+        .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+        .unwrap();
+    let mut reader = BufReader::new(&greedy);
+    let v = read_reply(&mut reader);
+    assert_eq!(
+        v.get("status").and_then(Value::as_str),
+        Some("error"),
+        "{v:?}"
+    );
+    let error = v.get("error").and_then(Value::as_str).unwrap_or_default();
+    assert!(error.contains(&MAX_LINE_BYTES.to_string()), "{error}");
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "then EOF: {rest}");
+
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(&stream);
+    (&stream)
+        .write_all(b"\xff\n{\"id\":1,\"verb\":\"metrics\"}\n{\"id\":2,\"verb\":\"shutdown\"}\n")
+        .unwrap();
+    let v = read_reply(&mut reader);
+    let error = v.get("error").and_then(Value::as_str).unwrap_or_default();
+    assert!(error.contains("not UTF-8"), "{v:?}");
+    let v = read_reply(&mut reader);
+    let errors = v
+        .get("snapshot")
+        .and_then(|s| s.get("counters"))
+        .and_then(|c| c.get("tmsd.errors"))
+        .and_then(Value::as_u64);
+    assert_eq!(errors, Some(2), "{v:?}");
+    let v = read_reply(&mut reader);
+    assert_eq!(v.get("shutdown").and_then(Value::as_bool), Some(true));
+    server
+        .join()
+        .expect("daemon thread must not panic")
+        .expect("daemon must exit cleanly");
 }
 
 /// The daemon under a disabled fault plan is exactly the daemon under a
