@@ -242,20 +242,6 @@ pub struct CandidateStream {
     next_row: u32,
     /// Frontier min-heap of `(key, ii, c_delay, ladder position)`.
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(CostKey, u32, u32, u32)>>,
-    /// Adaptive coarsening, when latched (see [`CandidateStream::coarsen`]).
-    coarsen: Option<Coarsen>,
-    /// Ladder rungs dropped by coarsening so far.
-    skipped: u64,
-}
-
-/// Latched coarsening state: rows step their ladder by `factor` while
-/// the popped key is strictly below `refine_above`; at or above it
-/// (the refinement band around the incumbent, where the win/lose
-/// boundary lies) the full ladder resolution is restored.
-#[derive(Debug, Clone, Copy)]
-struct Coarsen {
-    factor: u32,
-    refine_above: i64,
 }
 
 impl CandidateStream {
@@ -269,52 +255,7 @@ impl CandidateStream {
             ii_max,
             next_row: mii + 1,
             heap,
-            coarsen: None,
-            skipped: 0,
         }
-    }
-
-    /// Coarsen the `C_delay` grid for the *remaining* stream: every row
-    /// steps its ladder by `factor` rungs at a time while the candidate
-    /// key sits more than `margin` below `incumbent`, reverting to full
-    /// resolution inside that refinement band (and the ladder cap stays
-    /// reachable — an over-stepping row clamps to its last rung).
-    /// Candidates already yielded are unaffected. Sorted emission order
-    /// is preserved: a row's key is monotone along its ladder, so
-    /// stepping further ahead keeps the frontier-heap invariant intact.
-    ///
-    /// Re-latching **composes** monotonically rather than overwriting:
-    /// the factor ratchets to the max of the latches, and the
-    /// refinement band — the region kept at full resolution near the
-    /// incumbent — never shrinks (`refine_above` takes the min). A
-    /// weaker second latch is therefore absorbed, and an escalating one
-    /// strengthens the coarsening without giving up refinement an
-    /// earlier latch promised. A `factor` ≤ 1 cannot coarsen anything;
-    /// it trips a `debug_assert` and is ignored in release builds.
-    pub fn coarsen(&mut self, factor: u32, incumbent: CostKey, margin: i64) {
-        debug_assert!(
-            factor > 1,
-            "CandidateStream::coarsen(factor={factor}) cannot coarsen the ladder"
-        );
-        if factor <= 1 {
-            return;
-        }
-        let refine_above = incumbent.0.saturating_sub(margin);
-        self.coarsen = Some(match self.coarsen {
-            Some(prev) => Coarsen {
-                factor: prev.factor.max(factor),
-                refine_above: prev.refine_above.min(refine_above),
-            },
-            None => Coarsen {
-                factor,
-                refine_above,
-            },
-        });
-    }
-
-    /// Ladder rungs dropped by coarsening so far.
-    pub fn skipped(&self) -> u64 {
-        self.skipped
     }
 }
 
@@ -322,27 +263,16 @@ impl Iterator for CandidateStream {
     type Item = (u32, u32, CostKey);
 
     /// The next `(II, C_delay, CostKey)` in sorted order, or `None`
-    /// once the (possibly coarsened) grid is exhausted.
+    /// once the grid is exhausted.
     fn next(&mut self) -> Option<Self::Item> {
         let std::cmp::Reverse((key, ii, cd, pos)) = self.heap.pop()?;
-        // Successor along this row's ladder: the next rung at full
-        // resolution, `factor` rungs ahead when coarsened outside the
-        // refinement band (clamped so the cap rung is never skipped).
-        let step = match self.coarsen {
-            Some(c) if key.0 < c.refine_above => c.factor as usize,
-            _ => 1,
-        };
-        let mut next = pos as usize + step;
-        if next >= self.ladder.len() && (pos as usize) + 1 < self.ladder.len() {
-            next = self.ladder.len() - 1;
-        }
-        if let Some(&next_cd) = self.ladder.get(next) {
-            self.skipped += (next - pos as usize - 1) as u64;
+        // Successor along this row's ladder.
+        if let Some(&next_cd) = self.ladder.get(pos as usize + 1) {
             self.heap.push(std::cmp::Reverse((
                 self.model.cost_key(ii, next_cd),
                 ii,
                 next_cd,
-                next as u32,
+                pos + 1,
             )));
         }
         // Popping the newest row's ladder head opens the next row: its
@@ -514,51 +444,6 @@ mod tests {
                 assert_eq!(got, want, "ncore={ncore} mii={mii} ii_max={ii_max}");
             }
         }
-    }
-
-    #[test]
-    fn coarsen_relatch_composes_monotonically() {
-        let m = model(4);
-        let mk = || m.candidate_stream(2, 6, 30, true);
-        fn drain(s: &mut CandidateStream) -> (Vec<(u32, u32, CostKey)>, u64) {
-            let out = s.by_ref().collect();
-            (out, s.skipped())
-        }
-        let inc_lo = m.cost_key(3, 4);
-        let inc_hi = m.cost_key(6, 20);
-        assert!(inc_lo < inc_hi);
-        // Escalating: a second, stronger latch composes to exactly the
-        // stream a single latch at the composed parameters produces.
-        let mut twice = mk();
-        twice.coarsen(2, inc_hi, 2);
-        twice.coarsen(4, inc_lo, 2);
-        let mut once = mk();
-        once.coarsen(4, inc_lo, 2);
-        assert_eq!(drain(&mut twice), drain(&mut once));
-        // Absorbing: a weaker re-latch (smaller factor, band already
-        // covered) leaves the stronger latch in force.
-        let mut absorbed = mk();
-        absorbed.coarsen(4, inc_lo, 2);
-        absorbed.coarsen(2, inc_hi, 2);
-        let mut strong = mk();
-        strong.coarsen(4, inc_lo, 2);
-        assert_eq!(drain(&mut absorbed), drain(&mut strong));
-        // Degenerate factor (release behaviour): latch state unchanged.
-        if !cfg!(debug_assertions) {
-            let mut noop = mk();
-            noop.coarsen(1, inc_lo, 2);
-            let mut plain = mk();
-            assert_eq!(drain(&mut noop), drain(&mut plain));
-        }
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "cannot coarsen the ladder")]
-    fn degenerate_coarsen_factor_asserts_in_debug() {
-        let m = model(4);
-        let mut stream = m.candidate_stream(2, 6, 30, true);
-        stream.coarsen(1, m.cost_key(3, 4), 2);
     }
 
     #[test]

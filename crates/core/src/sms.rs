@@ -664,7 +664,7 @@ pub fn ii_search_ceiling(ddg: &Ddg, start: u32) -> u32 {
 }
 
 /// [`ii_search_ceiling`] for callers that already computed the LDP.
-pub fn ii_search_ceiling_from(ddg: &Ddg, start: u32, ldp: i64) -> u32 {
+fn ii_search_ceiling_from(ddg: &Ddg, start: u32, ldp: i64) -> u32 {
     (start as u64 + ldp as u64 + ddg.total_latency() + ddg.num_insts() as u64).min(u32::MAX as u64)
         as u32
 }

@@ -16,8 +16,8 @@ use crate::order::sms_order;
 use crate::profile::PlaceProfile;
 use crate::schedule::{PartialSchedule, Schedule};
 use crate::sms::{
-    generic_scan_forced, generic_scan_window, ii_search_ceiling_from, order_priorities,
-    schedule_sms_with, try_schedule, SchedError, SchedScratch, SlotPolicy,
+    generic_scan_forced, generic_scan_window, order_priorities, schedule_sms_with, try_schedule,
+    SchedError, SchedScratch, SlotPolicy,
 };
 use crate::warm::{AttemptLog, Probe};
 use std::collections::HashMap;
@@ -32,32 +32,22 @@ use tms_trace::Trace;
 /// [`TmsConfig::attempt_budget`] for the reported, degrading budget).
 pub const MAX_ATTEMPTS: usize = 200_000;
 
-/// Tunables of the TMS search.
+/// Tunables of the TMS search. The II and `C_delay` ceilings are not
+/// among them: each loop's are derived from its own critical path and
+/// latencies (see [`schedule_tms_traced`]). A search that resolves no
+/// candidate returns the SMS schedule.
 #[derive(Debug, Clone)]
 pub struct TmsConfig {
     /// `P_max` values to try per `(II, C_delay)` candidate, in order.
     /// Figure 3 treats `P_max` as a tunable parameter in `[0,1]`; the
     /// paper tries several and keeps the best schedule.
     pub p_max_values: Vec<f64>,
-    /// Upper bound on II. Defaults to `max(MII, LDP)` — the paper notes
-    /// II "can be bounded by the longest critical path in the DDG".
-    pub ii_max: Option<u32>,
-    /// Upper bound on the `C_delay` threshold. Defaults to
-    /// `II_max + max latency + C_reg_com` — the largest Definition-2
-    /// sync any schedule at `II_max` can produce. (The paper suggests
-    /// `II/ncore` as a bound, but its own Table 3 contains loops —
-    /// lucas — whose `C_delay` is close to II; the cost ordering makes
-    /// large thresholds naturally last, so a generous cap is safe.)
-    pub c_delay_max: Option<u32>,
     /// Graceful-degradation budget: when set, the search stops after
     /// this many attempts and *degrades* to the SMS schedule (reported
-    /// as [`Diagnostic::DegradedToSms`] in [`TmsResult::degraded`])
-    /// instead of erroring — even when [`TmsConfig::allow_sms_fallback`]
-    /// is off, because running out of budget is an operational
-    /// condition, not an infeasibility proof. Unlike [`MAX_ATTEMPTS`]
-    /// (a correctness backstop), exhausting this budget is always
-    /// reported. Deterministic: the same budget always degrades the
-    /// same loops.
+    /// as [`Diagnostic::DegradedToSms`] in [`TmsResult::degraded`]).
+    /// Unlike [`MAX_ATTEMPTS`] (a correctness backstop), exhausting
+    /// this budget is always reported. Deterministic: the same budget
+    /// always degrades the same loops.
     pub attempt_budget: Option<usize>,
     /// Wall-clock analogue of [`TmsConfig::attempt_budget`]: checked
     /// before every attempt, so a pathological loop cannot stall a
@@ -81,15 +71,11 @@ pub struct TmsConfig {
     ///   [`CostModel::floor_key`] already exceeds the SMS baseline's
     ///   key can only ever build a schedule that loses to the baseline
     ///   (the realised key of *any* schedule at that II is ≥ the
-    ///   floor), so it is skipped without dispatch. Only applies when
-    ///   [`TmsConfig::allow_sms_fallback`] provides the incumbent.
+    ///   floor), so it is skipped without dispatch.
     /// * **`P_max` dedup** — a loop with no memory-flow dependence is
     ///   insensitive to `P_max` (condition C2 is vacuous), so only the
     ///   first `P_max` of each `(II, C_delay)` candidate is dispatched.
     pub prune: bool,
-    /// If no candidate admits a schedule, fall back to plain SMS
-    /// (always succeeds when the loop is schedulable at all).
-    pub allow_sms_fallback: bool,
     /// Stage-count slack accepted beyond the dependence-forced minimum
     /// `⌈LDP / II⌉`. Without a bound the search can satisfy a small
     /// `C_delay` by scattering instructions across many stages — every
@@ -111,17 +97,6 @@ pub struct TmsConfig {
     /// A/B measurement, not correctness. The `tms.reuse.*` counters
     /// report the work it saved.
     pub warm_start: bool,
-    /// Counter-driven adaptive candidate density (default **off**).
-    /// When the rejection diagnostics of dispatched attempts are
-    /// dominated by sync-delay infeasibility, the search coarsens the
-    /// `C_delay` ladder for the rest of the stream — except within a
-    /// refinement band near the SMS incumbent's cost key, where the
-    /// full grid is kept. Changes which candidates are visited, so the
-    /// resolved schedule may differ from the exhaustive search (always
-    /// to a candidate the exhaustive grid also contains); excluded from
-    /// the pruned≡exhaustive identity guarantee and off in every
-    /// default path.
-    pub adaptive: bool,
     /// In-engine placement profiler (default **off**; see
     /// [`crate::profile`]). When on, every dispatched attempt runs
     /// *cold* — warm-start replay is bypassed, because replayed steps
@@ -143,16 +118,12 @@ impl Default for TmsConfig {
     fn default() -> Self {
         TmsConfig {
             p_max_values: vec![0.01, 0.05, 0.20],
-            ii_max: None,
-            c_delay_max: None,
             attempt_budget: None,
             deadline: None,
             dense_candidates: false,
             prune: true,
-            allow_sms_fallback: true,
             max_extra_stages: 2,
             warm_start: true,
-            adaptive: false,
             profile: false,
         }
     }
@@ -857,17 +828,21 @@ pub fn schedule_tms_traced(
     // Attempt-invariant priority state derived from the SMS order,
     // computed once and shared by every candidate attempt.
     let pos = order_priorities(order, ddg.num_insts());
-    let ii_max = config
-        .ii_max
-        .unwrap_or((ldp as u32).max(m).max(sms.schedule.ii() + 2));
+    // The II ceiling: the paper notes II "can be bounded by the longest
+    // critical path in the DDG", so `max(LDP, MII)`, floored by the SMS
+    // II as above.
+    let ii_max = (ldp as u32).max(m).max(sms.schedule.ii() + 2);
+    // The `C_delay` ceiling: the largest Definition-2 sync any schedule
+    // at `ii_max` can produce. The paper suggests `II/ncore`, but its
+    // own Table 3 has loops (lucas) whose `C_delay` is close to II; the
+    // cost order visits large thresholds last, so a generous cap is
+    // safe.
     let max_lat = ddg.insts().iter().map(|i| i.latency).max().unwrap_or(1);
-    let cd_max = config
-        .c_delay_max
-        .unwrap_or(ii_max + max_lat + model.costs.c_reg_com);
+    let cd_max = ii_max + max_lat + model.costs.c_reg_com;
     // Candidates are generated lazily in cost order, one shell at a
     // time: a search that resolves (or prunes) early never materialises
     // or sorts the full grid.
-    let mut stream = model.candidate_stream(m, ii_max, cd_max, config.dense_candidates);
+    let stream = model.candidate_stream(m, ii_max, cd_max, config.dense_candidates);
 
     let sms_achieved = crate::metrics::achieved_c_delay(ddg, &sms.schedule, &model.costs);
     let sms_key = model.cost_key(sms.schedule.ii(), sms_achieved);
@@ -898,7 +873,7 @@ pub fn schedule_tms_traced(
     // Branch-and-bound cuts (see `TmsConfig::prune`). The cost bound
     // needs the SMS incumbent; the `P_max` dedup only needs the loop to
     // be free of memory-flow dependences.
-    let cost_bound = (config.prune && config.allow_sms_fallback).then_some(sms_key);
+    let cost_bound = config.prune.then_some(sms_key);
     let p_max_dup = config.prune && !ddg.edges().iter().any(|e| e.is_memory_flow());
     // The degradation budget and the safety cap both limit *dispatched*
     // attempts (pruned candidates cost nothing); only the budget is
@@ -937,40 +912,11 @@ pub fn schedule_tms_traced(
     let mut warm_attempts = 0u64;
     let mut steps_replayed = 0u64;
     let mut steps_executed = 0u64;
-    // Adaptive-density accounting (all stay zero when
-    // `TmsConfig::adaptive` is off).
-    let mut sync_rejections = 0u64;
-    let mut coarsened = 0u64;
 
     // Folded placement profile (`TmsConfig::profile`): merged in
     // candidate order over exactly the dispatched attempts.
     let mut search_prof: Option<PlaceProfile> =
         config.profile.then(|| PlaceProfile::new(ddg.num_insts()));
-
-    // Adaptive grid density (`TmsConfig::adaptive`): a sliding window of
-    // dispatched attempts watches for rejection evidence that the
-    // low-`C_delay` region is sync-infeasible — the engine failing to
-    // place anything at all, or a built kernel rejected for
-    // `sync-exceeded` — and, once a window is dominated by it, latches
-    // the stream into a coarser `C_delay` ladder outside a refinement
-    // band near the SMS incumbent's key. Keyed to the loop's workload
-    // family: DOALL-like loops carry few carried sync edges, so
-    // rejection pressure there is weak evidence and gets a long window
-    // with gentle coarsening, while speculative DOACROSS loops reject
-    // for sync reasons structurally and get a short window with an
-    // aggressive ladder. After a latch the watcher keeps running;
-    // sustained pressure escalates by re-latching at double the factor
-    // (capped) — re-latching composes, see `CandidateStream::coarsen`.
-    let (adapt_window, adapt_factor) = match tms_ddg::classify(ddg).class {
-        tms_ddg::LoopClass::Doall | tms_ddg::LoopClass::DoallWithInductions => (24u32, 2u32),
-        tms_ddg::LoopClass::DoacrossRegister => (16, 4),
-        tms_ddg::LoopClass::DoacrossSpeculativeMemory => (12, 4),
-    };
-    const ADAPT_FACTOR_CAP: u32 = 8;
-    let adapt_margin = (sms_key.0 / 8).max(4);
-    let mut adapt_seen = 0u32;
-    let mut adapt_sync = 0u32;
-    let mut coarsen_factor = 0u32;
 
     // The search: candidates in cost order, each tried with every
     // `P_max` in turn. Prunes cost no attempt — the budget and deadline
@@ -978,7 +924,7 @@ pub fn schedule_tms_traced(
     // trips them — and are classified in a fixed order (`P_max` dedup
     // before the cost bound) so the per-kind counters are
     // deterministic.
-    'search: while let Some((ii, c_delay, key)) = stream.next() {
+    'search: for (ii, c_delay, key) in stream {
         for (p_idx, &p_max) in config.p_max_values.iter().enumerate() {
             if p_max_dup && p_idx != 0 {
                 pruned_pmax += 1;
@@ -1116,26 +1062,14 @@ pub fn schedule_tms_traced(
             if let (Some(sp), Some(p)) = (search_prof.as_mut(), &prof) {
                 sp.merge(p);
             }
-            // Fold the outcome. `sync_infeasible` is the adaptive
-            // evidence: an engine that placed nothing at all (a
-            // knob-independent failure persists across the whole
-            // ladder; a knob-dependent one at low `C_delay` is C1
-            // rejection pressure), or a built kernel rejected for
-            // `sync-exceeded`.
-            let sync_infeasible = match built {
-                None => {
-                    trace.count("tms.reject.no-schedule", 1);
-                    true
-                }
+            match built {
+                None => trace.count("tms.reject.no-schedule", 1),
                 Some((_, diagnostics)) if !diagnostics.is_empty() => {
                     rejected += 1;
                     trace.count("tms.rejected", 1);
                     for d in &diagnostics {
                         trace.count_keyed("tms.reject.", d.kind(), 1);
                     }
-                    let sync = diagnostics
-                        .iter()
-                        .any(|d| matches!(d, Diagnostic::SyncExceeded { .. }));
                     if rejects.len() < REJECT_LOG_CAP {
                         rejects.push(CandidateReject {
                             ii,
@@ -1144,7 +1078,6 @@ pub fn schedule_tms_traced(
                             diagnostics,
                         });
                     }
-                    sync
                 }
                 Some((schedule, _)) => {
                     let achieved = crate::metrics::achieved_c_delay(ddg, &schedule, &model.costs);
@@ -1157,10 +1090,9 @@ pub fn schedule_tms_traced(
                         tms_key <= key,
                         "achieved key {tms_key:?} exceeds candidate bound {key:?}"
                     );
-                    if config.allow_sms_fallback && sms_key < tms_key {
+                    if sms_key < tms_key {
                         lost += 1;
                         trace.count("tms.reject.lost-to-baseline", 1);
-                        false
                     } else {
                         resolution = Some(Accepted {
                             schedule,
@@ -1170,33 +1102,6 @@ pub fn schedule_tms_traced(
                             tms_key,
                         });
                         break 'search;
-                    }
-                }
-            };
-            if config.adaptive {
-                if sync_infeasible {
-                    sync_rejections += 1;
-                }
-                if coarsen_factor < ADAPT_FACTOR_CAP {
-                    adapt_seen += 1;
-                    if sync_infeasible {
-                        adapt_sync += 1;
-                    }
-                    if adapt_seen >= adapt_window {
-                        if adapt_sync * 2 > adapt_seen {
-                            let factor = if coarsen_factor == 0 {
-                                adapt_factor
-                            } else {
-                                (coarsen_factor * 2).min(ADAPT_FACTOR_CAP)
-                            };
-                            if factor > coarsen_factor {
-                                stream.coarsen(factor, sms_key, adapt_margin);
-                                coarsen_factor = factor;
-                                coarsened += 1;
-                            }
-                        }
-                        adapt_seen = 0;
-                        adapt_sync = 0;
                     }
                 }
             }
@@ -1213,14 +1118,6 @@ pub fn schedule_tms_traced(
     trace.count("tms.reuse.warm-attempts", warm_attempts);
     trace.count("tms.reuse.steps-replayed", steps_replayed);
     trace.count("tms.reuse.steps-executed", steps_executed);
-    // Adaptive-density accounting: attempts whose outcome evidenced
-    // sync-delay infeasibility, how many times the coarsening latch
-    // fired (initial latch plus escalating re-latches), and the ladder
-    // rungs the coarsened stream dropped. All zero on the default
-    // (adaptive-off) path.
-    trace.count("tms.adaptive.sync-rejections", sync_rejections);
-    trace.count("tms.adaptive.coarsened", coarsened);
-    trace.count("tms.adaptive.skipped", stream.skipped());
     trace.record("tms.pruned_per_loop", pruned as u64);
     trace.record("tms.attempts_per_loop", attempts as u64);
     // Wall-clock counter track: attempts spent on each loop, sampled
@@ -1250,10 +1147,6 @@ pub fn schedule_tms_traced(
         trace.record_histogram("tms.place.eject_chain_depth", &p.eject_chain_depth);
         trace.record_histogram("tms.place.forced_per_attempt", &p.forced_per_attempt);
     }
-    // The search degraded iff its budget (attempts or deadline) cut it
-    // short of a resolution; a full, unresolved sweep of the candidate
-    // space is the ordinary fallback/unschedulable path instead.
-    let exhausted_early = resolution.is_none() && (deadline_cut || budget_cut);
     match resolution {
         Some(Accepted {
             schedule,
@@ -1284,21 +1177,19 @@ pub fn schedule_tms_traced(
             })
         }
         // An unresolved sweep (every built schedule lost to the SMS
-        // baseline, or nothing built at all) falls back to SMS; a
-        // budget- or deadline-exhausted search falls back here too —
-        // degrading to SMS is an operational answer, erroring would
-        // lose the loop.
-        None if config.allow_sms_fallback || exhausted_early => {
-            let degraded = if exhausted_early {
+        // baseline, or nothing built at all) falls back to SMS. A
+        // search its budget (attempts or deadline) cut short falls back
+        // too, and is reported as degraded: degrading to SMS is an
+        // operational answer, erroring would lose the loop.
+        None => {
+            let degraded = (budget_cut || deadline_cut).then(|| {
                 trace.count("tms.degraded_to_sms", 1);
-                Some(Diagnostic::DegradedToSms {
+                Diagnostic::DegradedToSms {
                     loop_name: ddg.name().to_string(),
                     attempts,
                     budget: config.attempt_budget.unwrap_or(0),
-                })
-            } else {
-                None
-            };
+                }
+            });
             trace.count("tms.fallback", 1);
             let ii = sms.schedule.ii();
             Ok(TmsResult {
@@ -1321,20 +1212,13 @@ pub fn schedule_tms_traced(
                 profile: search_prof,
             })
         }
-        None => {
-            trace.count("tms.unschedulable", 1);
-            Err(SchedError::NoScheduleFound {
-                loop_name: ddg.name().to_string(),
-                ii_tried: ii_search_ceiling_from(ddg, m, ldp),
-            })
-        }
     }
 }
 
 /// The accepted candidate that resolved the search. A built schedule
 /// that loses to the SMS baseline does *not* resolve — the fold counts
 /// it and keeps searching — so `None` after the sweep means "fall back
-/// to SMS" (or error, with fallback disabled).
+/// to SMS".
 struct Accepted {
     schedule: Schedule,
     ii: u32,
@@ -1456,10 +1340,9 @@ mod tests {
         let g = motivating_shape();
         // One attempt is nowhere near enough for this loop (its
         // cheapest candidates fail C1/C2), so the search must degrade
-        // instead of erroring — even with the fallback switched off.
+        // instead of erroring.
         let cfg = TmsConfig {
             attempt_budget: Some(1),
-            allow_sms_fallback: false,
             ..TmsConfig::default()
         };
         let r = schedule_tms(&g, &machine(), &model(4), &cfg).unwrap();
@@ -1598,7 +1481,6 @@ mod tests {
             &model,
             &TmsConfig {
                 prune: true,
-                allow_sms_fallback: false,
                 p_max_values: vec![0.01, 0.05, 0.20],
                 attempt_budget: Some(5),
                 ..TmsConfig::default()

@@ -17,8 +17,10 @@
 //! reply is exactly one of:
 //!
 //! * `{"id":N,"status":"ok","cached":B,"degraded":B,...,"result":{...}}`
-//! * `{"id":N,"status":"error","error":"..."}` — malformed input, an
-//!   unschedulable DDG, or a contained worker panic;
+//! * `{"id":N,"status":"error","error":"..."}` — malformed input (a
+//!   DDG that fails [`Ddg::from_parts`] validation, an unknown knob, an
+//!   integer that does not fit its `u32` field), an unschedulable DDG,
+//!   or a contained worker panic;
 //! * `{"id":N,"status":"overloaded","error":"..."}` — the bounded
 //!   request queue was full and the daemon shed the request rather
 //!   than growing without bound. The request was *answered*, not lost;
@@ -30,11 +32,13 @@
 //! *canonical re-serialisation* of the parsed DDG, machine model, core
 //! count and knobs (with [`tms_faults::stable_hash`]), so two textual
 //! variants of the same request — reordered fields, different
-//! whitespace — map to the same entry. Two fields are deliberately
-//! excluded: `deadline_ms` (a deadline changes *when* the search gives
-//! up, never what a completed search returns, and degraded results are
-//! not cached) and the DDG's `uid` (a process-unique identity token,
-//! not content — keying on it would cold-start the cache every run).
+//! whitespace, stale `succs`/`preds`/`uid` fields that the DDG parser
+//! ignores — map to the same entry. A DDG serialises as exactly
+//! `{"name","insts","edges"}` and is rebuilt (and validated) from
+//! those, so its derived adjacency and its process-unique `uid` are
+//! never part of the key. `deadline_ms` is deliberately excluded too:
+//! a deadline changes *when* the search gives up, never what a
+//! completed search returns, and degraded results are not cached.
 
 use serde_json::Value;
 use std::time::Duration;
@@ -50,21 +54,17 @@ pub const CACHE_KEY_SEED: u64 = 0x1CC9_2008;
 
 /// The scheduling knobs a request may override. Exactly the
 /// [`tms_core::TmsConfig`] fields that change which schedule the
-/// search returns — all of them participate in the cache key.
+/// search returns — all of them participate in the cache key. Any
+/// other name in a request's `knobs` object is refused.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Knobs {
     /// `P_max` ladder override (`TmsConfig::p_max_values`).
     pub p_max_values: Option<Vec<f64>>,
-    /// II ceiling override.
-    pub ii_max: Option<u32>,
-    /// `C_delay` ceiling override.
-    pub c_delay_max: Option<u32>,
-    /// Dense candidate grid (no thinning).
+    /// Dense candidate grid (`TmsConfig::dense_candidates`).
     pub dense_candidates: bool,
-    /// Extra pipeline stages allowed past the SMS baseline.
+    /// Stage slack past the dependence-forced minimum
+    /// (`TmsConfig::max_extra_stages`).
     pub max_extra_stages: Option<u32>,
-    /// Counter-driven adaptive grid density.
-    pub adaptive: bool,
 }
 
 impl Knobs {
@@ -73,13 +73,8 @@ impl Knobs {
     /// requests that set it and nothing else.
     pub fn canonical(&self) -> String {
         format!(
-            "p_max={:?};ii_max={:?};c_delay_max={:?};dense={};extra_stages={:?};adaptive={}",
-            self.p_max_values,
-            self.ii_max,
-            self.c_delay_max,
-            self.dense_candidates,
-            self.max_extra_stages,
-            self.adaptive
+            "p_max={:?};dense={};extra_stages={:?}",
+            self.p_max_values, self.dense_candidates, self.max_extra_stages
         )
     }
 }
@@ -145,6 +140,15 @@ fn knob_err(name: &str) -> String {
     format!("knobs.{name}: invalid value")
 }
 
+/// A request integer that must fit a `u32`: out-of-range values are
+/// refused by name, never truncated.
+fn u32_field(v: &Value, field: &str) -> Result<u32, String> {
+    let n = v
+        .as_u64()
+        .ok_or_else(|| format!("{field}: expected a non-negative integer"))?;
+    u32::try_from(n).map_err(|_| format!("{field}: {n} does not fit in 32 bits"))
+}
+
 fn parse_knobs(v: &Value) -> Result<Knobs, String> {
     let Some(fields) = v.as_object() else {
         return Err("knobs: expected an object".to_string());
@@ -167,41 +171,23 @@ fn parse_knobs(v: &Value) -> Result<Knobs, String> {
                 }
                 k.p_max_values = Some(ps);
             }
-            "ii_max" => k.ii_max = Some(val.as_u64().ok_or_else(|| knob_err(name))? as u32),
-            "c_delay_max" => {
-                k.c_delay_max = Some(val.as_u64().ok_or_else(|| knob_err(name))? as u32)
-            }
             "dense_candidates" => {
                 k.dense_candidates = val.as_bool().ok_or_else(|| knob_err(name))?
             }
             "max_extra_stages" => {
-                k.max_extra_stages = Some(val.as_u64().ok_or_else(|| knob_err(name))? as u32)
+                k.max_extra_stages = Some(u32_field(val, "knobs.max_extra_stages")?)
             }
-            "adaptive" => k.adaptive = val.as_bool().ok_or_else(|| knob_err(name))?,
             other => return Err(format!("knobs.{other}: unknown knob")),
         }
     }
     Ok(k)
 }
 
-/// The canonical DDG rendering for keying: the serialised graph with
-/// its `uid` stripped. The uid is a process-unique identity token
-/// (fresh per construction, not content) — hashing it would give the
-/// same loop a different key on every run and defeat the persisted
-/// cache entirely.
-fn canonical_ddg_json(ddg: &Ddg) -> String {
-    let mut v = serde_json::to_value(ddg).unwrap_or(Value::Null);
-    if let Value::Object(fields) = &mut v {
-        fields.retain(|(name, _)| name != "uid");
-    }
-    serde_json::to_string(&v).unwrap_or_default()
-}
-
 /// Content-addressed cache key over the canonical re-serialisation of
 /// the parsed request. See the module docs for what is (and is not)
 /// part of the key.
 pub fn cache_key(ddg: &Ddg, machine: &MachineModel, ncore: u32, knobs: &Knobs) -> u64 {
-    let ddg_json = canonical_ddg_json(ddg);
+    let ddg_json = serde_json::to_string(ddg).unwrap_or_default();
     let machine_json = serde_json::to_string(machine).unwrap_or_default();
     tms_faults::stable_hash(
         CACHE_KEY_SEED,
@@ -243,16 +229,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .get("ddg")
                 .ok_or("schedule request needs a \"ddg\" field")?;
             let ddg: Ddg = serde_json::from_value(ddg_v).map_err(|e| format!("ddg: {e}"))?;
-            if ddg.num_insts() == 0 {
-                return Err("ddg: empty loop body".to_string());
-            }
             let machine: MachineModel = match v.get("machine") {
                 None => MachineModel::icpp2008(),
                 Some(m) => serde_json::from_value(m).map_err(|e| format!("machine: {e}"))?,
             };
             let ncore = match v.get("ncore") {
                 None => 4,
-                Some(n) => n.as_u64().ok_or("ncore: expected a positive integer")? as u32,
+                Some(n) => u32_field(n, "ncore")?,
             };
             if ncore == 0 {
                 return Err("ncore: must be at least 1".to_string());
@@ -406,14 +389,34 @@ mod tests {
         ] {
             assert!(parse_request(bad).is_err(), "{bad:?} should not parse");
         }
+        // Integers past u32 are refused by field name, not truncated.
+        let ddg_json = serde_json::to_string(&tms_workloads::figure1()).unwrap();
+        for (field, extra) in [
+            ("ncore", r#""ncore":4294967297"#),
+            (
+                "knobs.max_extra_stages",
+                r#""knobs":{"max_extra_stages":4294967297}"#,
+            ),
+        ] {
+            let line = format!(r#"{{"id":1,"ddg":{ddg_json},{extra}}}"#);
+            let err = parse_request(&line).unwrap_err();
+            assert!(err.starts_with(&format!("{field}: ")), "{err}");
+        }
     }
 
     #[test]
     fn unknown_knobs_are_rejected() {
         let ddg_json = serde_json::to_string(&tms_workloads::figure1()).unwrap();
-        let line = format!(r#"{{"id":1,"ddg":{ddg_json},"knobs":{{"p_mxa":[0.1]}}}}"#);
-        let err = parse_request(&line).unwrap_err();
-        assert!(err.contains("unknown knob"), "{err}");
+        for knob in [
+            r#""p_mxa":[0.1]"#,
+            r#""adaptive":true"#,
+            r#""ii_max":32"#,
+            r#""c_delay_max":4294967295"#,
+        ] {
+            let line = format!(r#"{{"id":1,"ddg":{ddg_json},"knobs":{{{knob}}}}}"#);
+            let err = parse_request(&line).unwrap_err();
+            assert!(err.contains("unknown knob"), "{err}");
+        }
         let line = format!(r#"{{"id":1,"ddg":{ddg_json},"knobs":{{"p_max_values":[1.5]}}}}"#);
         assert!(parse_request(&line).is_err());
     }

@@ -209,19 +209,12 @@ impl Engine {
         let model = CostModel::new(arch.costs, req.ncore);
         let mut cfg = TmsConfig {
             dense_candidates: req.knobs.dense_candidates,
-            adaptive: req.knobs.adaptive,
             attempt_budget: self.plan.sched_budget(req.ddg.name()),
             deadline: req.deadline.or(self.default_deadline),
             ..TmsConfig::default()
         };
         if let Some(p) = &req.knobs.p_max_values {
             cfg.p_max_values = p.clone();
-        }
-        if req.knobs.ii_max.is_some() {
-            cfg.ii_max = req.knobs.ii_max;
-        }
-        if req.knobs.c_delay_max.is_some() {
-            cfg.c_delay_max = req.knobs.c_delay_max;
         }
         if let Some(s) = req.knobs.max_extra_stages {
             cfg.max_extra_stages = s;

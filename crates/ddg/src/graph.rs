@@ -4,7 +4,7 @@
 use crate::edge::DepType;
 use crate::edge::{DepKind, Edge, EdgeId};
 use crate::inst::{InstId, Instruction, OpClass};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -57,7 +57,14 @@ impl std::error::Error for DdgError {}
 /// distances. Construct one with [`crate::DdgBuilder`]; direct field
 /// mutation is intentionally impossible so that the adjacency lists can
 /// never go stale.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// The serialised form is the content alone: `name`, `insts` and
+/// `edges`, in that order. Deserialising rebuilds the graph through
+/// [`Ddg::from_parts`], so parsed input is validated like built input
+/// (a [`DdgError`] becomes the deserialisation error) and gets fresh
+/// adjacency lists and a fresh `uid`. Other fields in the input, such
+/// as `succs`, `preds` or `uid`, are ignored.
+#[derive(Debug, Clone)]
 pub struct Ddg {
     name: String,
     insts: Vec<Instruction>,
@@ -66,12 +73,38 @@ pub struct Ddg {
     succs: Vec<Vec<EdgeId>>,
     /// `preds[n]` — ids of edges whose `dst == n`.
     preds: Vec<Vec<EdgeId>>,
-    /// Process-unique identity token (see [`Ddg::uid`]). Skipped by
-    /// serde: a deserialized graph is a *new* graph and gets a fresh
-    /// token; a `clone` shares the token, which is sound because the
-    /// contents are identical and immutable.
-    #[serde(skip, default = "next_ddg_uid")]
+    /// Process-unique identity token (see [`Ddg::uid`]). A `clone`
+    /// shares the token, which is sound because the contents are
+    /// identical and immutable.
     uid: u64,
+}
+
+impl Serialize for Ddg {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("name".to_string(), self.name.to_value()),
+            ("insts".to_string(), self.insts.to_value()),
+            ("edges".to_string(), self.edges.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for Ddg {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        if v.as_object().is_none() {
+            return Err(DeError::expected("object", "Ddg"));
+        }
+        let field = |name| {
+            v.get(name)
+                .ok_or_else(|| DeError::missing_field(name, "Ddg"))
+        };
+        Ddg::from_parts(
+            String::from_value(field("name")?)?,
+            Vec::from_value(field("insts")?)?,
+            Vec::from_value(field("edges")?)?,
+        )
+        .map_err(|e| DeError::new(e.to_string()))
+    }
 }
 
 impl Ddg {

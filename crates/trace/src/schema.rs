@@ -24,9 +24,6 @@ pub const KNOWN_COUNTERS: &[&str] = &[
     "sim.prune.popped",
     "sim.threads.committed",
     "tms.accepted",
-    "tms.adaptive.coarsened",
-    "tms.adaptive.skipped",
-    "tms.adaptive.sync-rejections",
     "tms.attempts",
     "tms.degraded_to_sms",
     "tms.fallback",
@@ -202,7 +199,6 @@ mod tests {
         assert!(is_known_counter("tms.reject.lost-to-baseline"));
         assert!(is_known_counter("tms.reuse.warm-attempts"));
         assert!(is_known_counter("tms.reuse.steps-replayed"));
-        assert!(is_known_counter("tms.adaptive.coarsened"));
         assert!(is_known_value("tms.pruned_per_loop"));
         assert!(is_known_counter("tms.place.scans"));
         assert!(is_known_counter("tms.place.probe.c1-reject-fast"));

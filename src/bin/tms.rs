@@ -20,10 +20,6 @@
 //!          --unroll F    unroll before scheduling
 //!          --machine P   per-core machine model from a JSON config
 //!                        (default: the paper's Table 1 machine)
-//!          --adaptive    (schedule) counter-driven adaptive C_delay
-//!                        grid density: coarsen the candidate ladder
-//!                        when rejections are sync-dominated, refine
-//!                        near the SMS incumbent
 //!          --trace PATH  (trace) also write a Chrome trace_event JSON
 //!                        timeline — load it in ui.perfetto.dev
 //!          --stream PATH (trace) bounded-memory sink: spill events to
@@ -47,7 +43,6 @@ struct Opts {
     ncore: u32,
     iters: u64,
     unroll: u32,
-    adaptive: bool,
     trace_out: Option<String>,
     stream_out: Option<String>,
     buffer: usize,
@@ -87,7 +82,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         ncore: 4,
         iters: 1000,
         unroll: 1,
-        adaptive: false,
         trace_out: None,
         stream_out: None,
         buffer: 4096,
@@ -99,7 +93,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--ncore" => o.ncore = flag_num(&mut it, "--ncore")?,
             "--iters" => o.iters = flag_num(&mut it, "--iters")?,
             "--unroll" => o.unroll = flag_num(&mut it, "--unroll")?,
-            "--adaptive" => o.adaptive = true,
             "--trace" => o.trace_out = Some(flag_str(&mut it, "--trace")?.clone()),
             "--stream" => o.stream_out = Some(flag_str(&mut it, "--stream")?.clone()),
             "--buffer" => o.buffer = flag_num(&mut it, "--buffer")?,
@@ -177,11 +170,8 @@ fn cmd_schedule(g: &Ddg, o: &Opts, machine: &MachineModel) -> Result<(), String>
     let arch = ArchParams::with_ncore(o.ncore);
     let model = CostModel::new(arch.costs, arch.ncore);
     let sms = schedule_sms(&g, machine).map_err(|e| format!("SMS: {e}"))?;
-    let cfg = TmsConfig {
-        adaptive: o.adaptive,
-        ..TmsConfig::default()
-    };
-    let tms = schedule_tms(&g, machine, &model, &cfg).map_err(|e| format!("TMS: {e}"))?;
+    let tms = schedule_tms(&g, machine, &model, &TmsConfig::default())
+        .map_err(|e| format!("TMS: {e}"))?;
     for (name, sch) in [("SMS", &sms.schedule), ("TMS", &tms.schedule)] {
         let m = LoopMetrics::compute(&g, machine, sch, &arch.costs);
         println!(
@@ -809,9 +799,6 @@ fn main() -> ExitCode {
                 Ok(g) => g,
                 Err(e) => return operational(&format!("parse {path}: {e}")),
             };
-            if g.num_insts() == 0 {
-                return operational(&format!("{path}: empty loop body"));
-            }
             if !matches!(sub.as_str(), "show" | "schedule" | "simulate" | "dot") {
                 return usage();
             }

@@ -268,49 +268,6 @@ fn foreign_log_leaves_the_attempt_cold() {
     assert!(foreign_cases > 0, "no loop recorded a log to hand over");
 }
 
-/// Adaptive grid density is allowed to visit fewer candidates (its
-/// whole point), but it must stay deterministic, legal, and agree on
-/// schedulability with the exhaustive-grid default.
-#[test]
-fn adaptive_search_stays_legal_and_deterministic() {
-    let machine = MachineModel::icpp2008();
-    let arch = ArchParams::icpp2008();
-    let model = CostModel::new(arch.costs, arch.ncore);
-    for ddg in &population() {
-        let run = || {
-            let cfg = TmsConfig {
-                adaptive: true,
-                ..TmsConfig::default()
-            };
-            schedule_tms(ddg, &machine, &model, &cfg).ok()
-        };
-        let (a, b) = (run(), run());
-        match (&a, &b) {
-            (Some(x), Some(y)) => {
-                assert_eq!(
-                    full_fingerprint(ddg, x),
-                    full_fingerprint(ddg, y),
-                    "{}: adaptive search is nondeterministic",
-                    ddg.name()
-                );
-                assert!(
-                    x.schedule.check_legal(ddg).is_none(),
-                    "{}: adaptive schedule is illegal",
-                    ddg.name()
-                );
-            }
-            (None, None) => {}
-            _ => panic!("{}: adaptive search is nondeterministic", ddg.name()),
-        }
-        assert_eq!(
-            a.is_some(),
-            tms_at(ddg, true).is_some(),
-            "{}: adaptive changed schedulability",
-            ddg.name()
-        );
-    }
-}
-
 /// Degradation budgets compose with pruning: the budget caps
 /// *dispatched* attempts and prunes never trip it, so a budgeted search
 /// walks exactly the unbudgeted search's attempt sequence. A budget the

@@ -50,7 +50,7 @@ fn raw_result(reply: &str) -> &str {
 fn golden_cache_key_is_stable_across_runs() {
     let key = |line: &str| key_hex(parse_schedule(line).key);
     let line = schedule_line(1, &figure1(), 4);
-    assert_eq!(key(&line), "204a9c9b349dfacf", "pinned cache key moved");
+    assert_eq!(key(&line), "9c1d1dadeeb869a8", "pinned cache key moved");
     // Same inputs, different process run: recompute from scratch.
     assert_eq!(
         key_hex(cache_key(
@@ -59,7 +59,7 @@ fn golden_cache_key_is_stable_across_runs() {
             4,
             &Knobs::default()
         )),
-        "204a9c9b349dfacf"
+        "9c1d1dadeeb869a8"
     );
 }
 
@@ -90,11 +90,8 @@ fn every_keyed_field_perturbs_the_cache_key() {
     // each knob.
     for knob in [
         r#""p_max_values":[0.05]"#,
-        r#""ii_max":32"#,
-        r#""c_delay_max":9"#,
         r#""dense_candidates":true"#,
         r#""max_extra_stages":3"#,
-        r#""adaptive":true"#,
     ] {
         keys.push(
             parse_schedule(&format!(
@@ -108,6 +105,34 @@ fn every_keyed_field_perturbs_the_cache_key() {
             assert_ne!(a, b, "variants {i} and {j} collided on {}", key_hex(*a));
         }
     }
+}
+
+/// A DDG's `succs`, `preds` and `uid` are derived state, not input:
+/// a figure1 request whose JSON carries tampered copies of them gets
+/// the same cache key and the same schedule as the clean request.
+#[test]
+fn tampered_adjacency_and_uid_change_neither_schedule_nor_key() {
+    let clean = serde_json::to_string(&figure1()).unwrap();
+    let mut ddg = serde_json::to_value(&figure1()).unwrap();
+    let Value::Object(fields) = &mut ddg else {
+        panic!("a DDG serialises as an object")
+    };
+    fields.retain(|(name, _)| !matches!(name.as_str(), "succs" | "preds" | "uid"));
+    let empty = || Value::Array(vec![Value::Array(vec![]); figure1().num_insts()]);
+    fields.push(("succs".to_string(), empty()));
+    fields.push(("preds".to_string(), empty()));
+    fields.push(("uid".to_string(), Value::UInt(1)));
+    let tampered = serde_json::to_string(&ddg).unwrap();
+    let line = |json: &str| format!(r#"{{"id":1,"ddg":{json},"ncore":4}}"#);
+    let clean = parse_schedule(&line(&clean));
+    let tampered = parse_schedule(&line(&tampered));
+    // Two engines, so that both requests are scheduled cold.
+    let engine = || Engine::new(&DaemonConfig::default(), Trace::disabled());
+    assert_eq!(
+        raw_result(&engine().process(&tampered)),
+        raw_result(&engine().process(&clean))
+    );
+    assert_eq!(key_hex(tampered.key), key_hex(clean.key));
 }
 
 /// Satellite property test: over fuzzed DDGs, a cache hit replays the
@@ -227,8 +252,11 @@ fn read_reply(reader: &mut impl BufRead) -> Value {
     serde_json::from_str(reply.trim()).expect("reply must be JSON")
 }
 
-/// End to end over TCP: schedule, malformed line, metrics, shutdown —
-/// one daemon on an ephemeral port, every reply structured, clean exit.
+/// End to end over TCP: a DDG with an edge to a missing node, schedule,
+/// malformed line, metrics, shutdown — one daemon on an ephemeral port,
+/// every reply structured, clean exit. The bad DDG gets an `error`
+/// reply with the `DdgError` text, and the same connection goes on to
+/// schedule figure1.
 #[test]
 fn daemon_answers_over_tcp_and_shuts_down_cleanly() {
     let (addr, server) = start_daemon();
@@ -245,7 +273,17 @@ fn daemon_answers_over_tcp_and_shuts_down_cleanly() {
         read_reply(&mut reader)
     };
 
-    let v = ask(&schedule_line(7, &figure1(), 4));
+    let good = schedule_line(7, &figure1(), 4);
+    let bad = good
+        .replacen(r#""id":7"#, r#""id":6"#, 1)
+        .replacen(r#""dst":1"#, r#""dst":99"#, 1);
+    let v = ask(&bad);
+    assert_eq!(v.get("id").and_then(Value::as_u64), Some(6), "{v:?}");
+    assert_eq!(v.get("status").and_then(Value::as_str), Some("error"));
+    let error = v.get("error").and_then(Value::as_str).unwrap_or_default();
+    assert!(error.contains("references missing node"), "{error}");
+
+    let v = ask(&good);
     assert_eq!(v.get("id").and_then(Value::as_u64), Some(7));
     assert_eq!(v.get("status").and_then(Value::as_str), Some("ok"));
     assert!(v.get("result").is_some());
@@ -259,8 +297,8 @@ fn daemon_answers_over_tcp_and_shuts_down_cleanly() {
     let snap = tms_trace::MetricsSnapshot::from_json(&serde_json::to_string(snap).unwrap())
         .expect("snapshot must round-trip");
     assert!(tms_trace::schema::unknown_metrics(&snap).is_empty());
-    assert_eq!(snap.counters.get("tmsd.requests"), Some(&3));
-    assert_eq!(snap.counters.get("tmsd.errors"), Some(&1));
+    assert_eq!(snap.counters.get("tmsd.requests"), Some(&4));
+    assert_eq!(snap.counters.get("tmsd.errors"), Some(&2));
 
     let v = ask(r#"{"id":10,"verb":"shutdown"}"#);
     assert_eq!(v.get("shutdown").and_then(Value::as_bool), Some(true));

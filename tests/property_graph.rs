@@ -4,10 +4,11 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use serde_json::Value;
 use tms_ddg::analysis::{topo_order_zero_dist, AcyclicPriorities, TimeFrames};
 use tms_ddg::mii::recurrence_info;
 use tms_ddg::scc::SccDecomposition;
-use tms_ddg::{Ddg, DdgBuilder, InstId, OpClass};
+use tms_ddg::{Ddg, DdgBuilder, DdgError, InstId, OpClass};
 
 /// A valid random DDG: intra-iteration edges only go from lower to
 /// higher index (a DAG by construction), loop-carried edges are free.
@@ -170,5 +171,33 @@ fn serde_round_trip() {
         let json = serde_json::to_string(&ddg).unwrap();
         let back: Ddg = serde_json::from_str(&json).unwrap();
         assert_eq!(format!("{ddg}"), format!("{back}"), "seed {seed}");
+        let v: Value = serde_json::from_str(&json).unwrap();
+        let fields: Vec<&str> = v.as_object().unwrap().iter().map(|(k, _)| &**k).collect();
+        assert_eq!(fields, ["name", "insts", "edges"], "seed {seed}");
+    }
+}
+
+/// A DDG read from JSON is validated like a built one: an edge whose
+/// endpoint is outside the node table fails to deserialize with the
+/// `DdgError` text instead of reaching the analyses.
+#[test]
+fn dangling_edge_fails_to_deserialize_with_the_ddg_error() {
+    for (seed, ddg) in population().take(48) {
+        let Some(k) = (seed as usize).checked_rem(ddg.num_edges()) else {
+            continue;
+        };
+        let mut edges = ddg.edges().to_vec();
+        edges[k].dst = InstId(ddg.num_insts() as u32 + 99);
+        let json = serde_json::to_string(&ddg).unwrap().replacen(
+            &serde_json::to_string(ddg.edges()).unwrap(),
+            &serde_json::to_string(&edges).unwrap(),
+            1,
+        );
+        let err = serde_json::from_str::<Ddg>(&json).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            DdgError::DanglingEdge { edge: k }.to_string(),
+            "seed {seed}"
+        );
     }
 }
