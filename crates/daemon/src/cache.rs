@@ -9,18 +9,18 @@
 //! # Persistence
 //!
 //! One ndjson line per entry — `{"key":"<16 hex>","result":"<escaped
-//! result JSON>"}` — appended with a single `write_all` per line (the
-//! same line-atomicity discipline as the `tms-trace` spill sink), so a
-//! crash can tear at most the final line. Transient write faults are
-//! retried with bounded backoff; a persistent fault (disk-full, a torn
-//! write) degrades the cache to memory-only for the rest of the run —
-//! the daemon keeps answering, it just stops persisting.
+//! result JSON>"}` — appended through the same
+//! [`tms_trace::stream::LineAppender`] as the trace spill sink: one
+//! `write_all` per line, so a crash can tear at most the final line,
+//! and transient write faults retried at 50/100/200 µs. Any append
+//! that still fails (disk-full, a torn write, retries exhausted)
+//! degrades the cache to memory-only for the rest of the run — the
+//! daemon keeps answering, it just stops persisting.
 //!
 //! # Recovery
 //!
 //! [`ScheduleCache::open`] recovers the valid prefix of a torn or
-//! partially corrupted file, mirroring `tms_trace::stream::
-//! parse_spill_lossy`: a torn *final* line is the expected crash
+//! partially corrupted file: a torn *final* line is the expected crash
 //! artifact and is silently dropped; malformed lines elsewhere are
 //! dropped too (availability wins over the spill reader's hard-error
 //! stance — a daemon that refuses to start over one bad cache line
@@ -32,14 +32,9 @@ use crate::proto::key_hex;
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use tms_faults::{FaultPlan, IoFault};
-
-/// Retries per persist line before degrading (matches the spill sink).
-const CACHE_WRITE_RETRIES: u32 = 3;
-/// Base backoff between retries, doubled per attempt.
-const CACHE_BACKOFF_US: u64 = 50;
+use tms_faults::FaultPlan;
+use tms_trace::stream::LineAppender;
 
 /// What [`ScheduleCache::open`] found on disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -66,10 +61,8 @@ pub struct WriteReport {
 pub struct ScheduleCache {
     entries: BTreeMap<u64, String>,
     path: Option<PathBuf>,
-    file: Option<File>,
-    /// 1-based persist-attempt counter, the key for injected faults.
-    write_index: u64,
-    plan: FaultPlan,
+    /// The persisted log; `None` when memory-only or degraded.
+    log: Option<LineAppender<File>>,
 }
 
 fn parse_entry(line: &str) -> Option<(u64, String)> {
@@ -95,13 +88,11 @@ fn render_entry(key: u64, result: &str) -> String {
 
 impl ScheduleCache {
     /// A memory-only cache (no persistence).
-    pub fn in_memory(plan: FaultPlan) -> ScheduleCache {
+    pub fn in_memory() -> ScheduleCache {
         ScheduleCache {
             entries: BTreeMap::new(),
             path: None,
-            file: None,
-            write_index: 0,
-            plan,
+            log: None,
         }
     }
 
@@ -156,9 +147,7 @@ impl ScheduleCache {
             ScheduleCache {
                 entries,
                 path: Some(path.to_path_buf()),
-                file,
-                write_index: 0,
-                plan,
+                log: file.map(|f| LineAppender::new(f, plan, FaultPlan::cache_write_fault)),
             },
             report,
         )
@@ -176,7 +165,7 @@ impl ScheduleCache {
 
     /// Whether inserts still reach the disk.
     pub fn persisting(&self) -> bool {
-        self.file.is_some()
+        self.log.is_some()
     }
 
     /// The stored result for `key`, if any.
@@ -190,65 +179,26 @@ impl ScheduleCache {
         self.entries.remove(&key);
     }
 
-    /// One faultable write attempt: either the injected fault or the
-    /// real `write_all` outcome.
-    fn write_attempt(&mut self, bytes: &[u8]) -> Result<(), (std::io::Error, bool)> {
-        self.write_index += 1;
-        if let Some(fault) = self.plan.cache_write_fault(self.write_index) {
-            if fault == IoFault::ShortWrite {
-                // A torn write reaches the file for real — that is the
-                // crash artifact restart recovery must cope with.
-                if let Some(f) = &mut self.file {
-                    let _ = f.write_all(&bytes[..bytes.len() / 2]);
-                    let _ = f.flush();
-                }
-            }
-            let persistent = fault != IoFault::Interrupted;
-            return Err((fault.to_io_error(), persistent));
-        }
-        let Some(f) = &mut self.file else {
-            return Ok(()); // memory-only: nothing to do
-        };
-        match f.write_all(bytes) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let transient = e.kind() == std::io::ErrorKind::Interrupted;
-                Err((e, !transient))
-            }
-        }
-    }
-
     /// Insert `result` under `key`, persisting when a file is attached.
-    /// Transient faults retry with bounded backoff; persistent ones
-    /// (or exhausted retries) degrade the cache to memory-only.
+    /// An append that fails degrades the cache to memory-only.
     pub fn insert(&mut self, key: u64, result: &str) -> WriteReport {
         self.entries.insert(key, result.to_string());
-        let mut report = WriteReport::default();
-        if self.file.is_none() {
-            return report;
+        let Some(log) = &mut self.log else {
+            return WriteReport::default();
+        };
+        let before = log.retries();
+        let appended = log.append(render_entry(key, result).as_bytes());
+        let report = WriteReport {
+            retries: log.retries() - before,
+            degraded_now: appended.is_err(),
+        };
+        if appended.is_err() {
+            // Keep answering from memory, stop touching the disk. The
+            // file's valid prefix (plus at most one torn line) is what
+            // the next restart recovers.
+            self.log = None;
         }
-        let line = render_entry(key, result);
-        let mut attempt = 0u32;
-        loop {
-            match self.write_attempt(line.as_bytes()) {
-                Ok(()) => return report,
-                Err((_, persistent)) => {
-                    if persistent || attempt >= CACHE_WRITE_RETRIES {
-                        // Degrade: keep answering from memory, stop
-                        // touching the disk. The file's existing prefix
-                        // stays valid for the next restart.
-                        self.file = None;
-                        report.degraded_now = true;
-                        return report;
-                    }
-                    attempt += 1;
-                    report.retries += 1;
-                    std::thread::sleep(std::time::Duration::from_micros(
-                        CACHE_BACKOFF_US << attempt,
-                    ));
-                }
-            }
-        }
+        report
     }
 
     /// The backing path, if persisted.
@@ -332,10 +282,6 @@ mod tests {
     fn transient_write_faults_retry_and_clear() {
         let path = tmp("transient");
         let _ = std::fs::remove_file(&path);
-        // Write index 1 is transient-faulted (rate 1024 would fault
-        // every attempt and exhaust retries, so pin a single index via
-        // a quiet plan plus torn/fail modes off and rate that hits
-        // sometimes — instead use rate 1024 but observe degradation).
         let plan = FaultPlan::with_rates(
             31,
             FaultRates {
@@ -347,7 +293,7 @@ mod tests {
         let w = c.insert(1, r#"{"ii":4}"#);
         // Every attempt faults transiently, so retries exhaust and the
         // cache degrades — but the entry stays resident.
-        assert_eq!(w.retries, CACHE_WRITE_RETRIES as u64);
+        assert_eq!(w.retries, u64::from(tms_trace::stream::APPEND_RETRIES));
         assert!(w.degraded_now);
         assert!(!c.persisting());
         assert_eq!(c.get(1), Some(r#"{"ii":4}"#));

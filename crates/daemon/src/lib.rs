@@ -13,7 +13,13 @@
 //!   the canonicalised DDG, machine model, core count and search
 //!   knobs. Warm replies replay the stored result bytes verbatim, so a
 //!   hit is byte-identical to the cold schedule. The cache persists as
-//!   crash-safe ndjson with lossy-prefix recovery.
+//!   crash-safe ndjson, appended through the trace spill sink's
+//!   [`tms_trace::stream::LineAppender`], with lossy-prefix recovery.
+//! * **Bad input is an error reply**: a request line that does not
+//!   parse, or a DDG that `tms_ddg::Ddg::from_parts` refuses (a
+//!   dangling edge, a latency, distance or `|delay|` past
+//!   `tms_ddg::MAX_MAGNITUDE`), is answered with `error` before
+//!   anything is scheduled, and the connection goes on serving.
 //! * **Backpressure** ([`server::BoundedQueue`]): per-connection
 //!   queues are bounded; past the cap a request is *shed* with a
 //!   structured `overloaded` reply — answered, counted, never lost.

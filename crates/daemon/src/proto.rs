@@ -402,6 +402,14 @@ mod tests {
             let err = parse_request(&line).unwrap_err();
             assert!(err.starts_with(&format!("{field}: ")), "{err}");
         }
+        // An oversized latency is refused at parse, before any
+        // scheduler sizes a table by it.
+        let lat = r#""latency":"#;
+        let at = ddg_json.find(lat).unwrap() + lat.len();
+        let end = at + ddg_json[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        let huge = format!("{}4000000000{}", &ddg_json[..at], &ddg_json[end..]);
+        let err = parse_request(&format!(r#"{{"id":1,"ddg":{huge}}}"#)).unwrap_err();
+        assert!(err.contains("instruction 0 has a latency above"), "{err}");
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl Engine {
     /// cold, never served wrong.
     pub fn new(cfg: &DaemonConfig, trace: Trace) -> Engine {
         let cache = match &cfg.cache_path {
-            None => ScheduleCache::in_memory(cfg.plan.clone()),
+            None => ScheduleCache::in_memory(),
             Some(path) => {
                 let (cache, report) = ScheduleCache::open(path, cfg.plan.clone());
                 if report.dropped_corrupt > 0 {

@@ -31,8 +31,9 @@ use tms_core::par::Parallelism;
 use tms_faults::{
     FaultPlan, FaultRates, SITE_DAEMON_ACCEPT, SITE_DAEMON_CACHE_READ, SITE_DAEMON_CACHE_WRITE,
 };
-use tms_trace::{schema, MetricsSnapshot, Trace};
+use tms_trace::{schema, Trace};
 use tms_verify::fuzz::fuzz_ddgs;
+use tms_verify::traces::snapshot_from_value;
 
 /// The soak's fault profile: every daemon site runs far hotter than the
 /// standard campaign so a few hundred requests reliably fire all of
@@ -547,13 +548,8 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
             report.answered += 1;
             let v: Value = serde_json::from_str(reply)
                 .map_err(|e| format!("metrics reply is not JSON: {e}"))?;
-            let snap_json = v
-                .get("snapshot")
-                .map(serde_json::to_string)
-                .transpose()
-                .map_err(|e| format!("metrics snapshot: {e}"))?
-                .ok_or("metrics reply has no snapshot")?;
-            match MetricsSnapshot::from_json(&snap_json) {
+            let snap = v.get("snapshot").ok_or("metrics reply has no snapshot")?;
+            match snapshot_from_value(snap) {
                 Err(e) => report
                     .failures
                     .push(format!("metrics snapshot does not round-trip: {e}")),

@@ -29,7 +29,19 @@ pub enum DdgError {
     Empty,
     /// A register dependence was given a probability other than 1.
     NonUnitRegisterProb { edge: usize },
+    /// An instruction latency above [`MAX_MAGNITUDE`].
+    LatencyTooLarge { inst: usize },
+    /// An edge distance or `|delay|` above [`MAX_MAGNITUDE`].
+    EdgeTooLarge { edge: usize },
 }
+
+/// The largest instruction latency, edge distance or edge `|delay|` a
+/// [`Ddg`] accepts. The schedulers and the simulator size their tables
+/// and stage counts by these values, so an unbounded input becomes an
+/// unbounded allocation, which aborts the process (no panic handler
+/// can catch it). Every workload family stays far below the limit:
+/// latency 12, distance 2, delay 12.
+pub const MAX_MAGNITUDE: u32 = 1024;
 
 impl fmt::Display for DdgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -44,6 +56,15 @@ impl fmt::Display for DdgError {
             DdgError::Empty => write!(f, "graph has no instructions"),
             DdgError::NonUnitRegisterProb { edge } => {
                 write!(f, "register dependence {edge} must have probability 1")
+            }
+            DdgError::LatencyTooLarge { inst } => {
+                write!(f, "instruction {inst} has a latency above {MAX_MAGNITUDE}")
+            }
+            DdgError::EdgeTooLarge { edge } => {
+                write!(
+                    f,
+                    "edge {edge} has a distance or |delay| above {MAX_MAGNITUDE}"
+                )
             }
         }
     }
@@ -108,7 +129,8 @@ impl Deserialize for Ddg {
 }
 
 impl Ddg {
-    /// Build a graph from parts, validating structural invariants.
+    /// Build a graph from parts, validating structural invariants and
+    /// the [`MAX_MAGNITUDE`] bound.
     ///
     /// Prefer [`crate::DdgBuilder`]; this is the low-level entry point.
     pub fn from_parts(
@@ -120,6 +142,10 @@ impl Ddg {
             return Err(DdgError::Empty);
         }
         let n = insts.len();
+        let cap = u64::from(MAX_MAGNITUDE);
+        if let Some(inst) = insts.iter().position(|x| u64::from(x.latency) > cap) {
+            return Err(DdgError::LatencyTooLarge { inst });
+        }
         for (i, e) in edges.iter().enumerate() {
             if e.src.index() >= n || e.dst.index() >= n {
                 return Err(DdgError::DanglingEdge { edge: i });
@@ -129,6 +155,9 @@ impl Ddg {
             }
             if e.kind == DepKind::Register && e.prob != 1.0 {
                 return Err(DdgError::NonUnitRegisterProb { edge: i });
+            }
+            if u64::from(e.distance) > cap || e.delay.unsigned_abs() > cap {
+                return Err(DdgError::EdgeTooLarge { edge: i });
             }
         }
         let mut succs = vec![Vec::new(); n];

@@ -34,6 +34,6 @@ pub mod unroll;
 pub use builder::DdgBuilder;
 pub use classify::{classify, Classification, LoopClass};
 pub use edge::{DepKind, DepType, Edge, EdgeId};
-pub use graph::{Ddg, DdgError};
+pub use graph::{Ddg, DdgError, MAX_MAGNITUDE};
 pub use inst::{InstId, Instruction, OpClass};
 pub use unroll::unroll;

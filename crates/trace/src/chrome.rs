@@ -18,10 +18,10 @@
 //! Events are sorted by `(pid, tid, ts, name)` before rendering so the
 //! file is stable for a given set of recorded events; the sort is
 //! stable, so ties keep recording order. The renderer is generic over
-//! [`ChromeEvent`] so the offline merge path ([`crate::merge`]) renders
-//! parsed spill events through the exact same bytes-out code path —
-//! that is what makes `tms trace merge` output byte-identical to an
-//! in-memory [`crate::Trace::chrome_json`] of the same events.
+//! [`ChromeEvent`] so the offline merge path (`tms_verify::traces`)
+//! renders parsed spill events through the exact same bytes-out code
+//! path — that is what makes `tms trace merge` output byte-identical to
+//! an in-memory [`crate::Trace::chrome_json`] of the same events.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
@@ -43,8 +43,8 @@ pub fn pid_of_cat(cat: &str) -> u64 {
 }
 
 /// Accessor view of one renderable event — implemented by the live
-/// [`Event`] and by the owned events [`crate::merge`] parses back out
-/// of `.trace.ndjson` spill files.
+/// [`Event`] and by the owned events `tms_verify::traces` parses back
+/// out of `.trace.ndjson` spill files.
 pub trait ChromeEvent {
     /// Chrome phase.
     fn phase(&self) -> EventPhase;

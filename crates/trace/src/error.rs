@@ -1,32 +1,22 @@
-//! The error type of the trace streaming/merge public API.
+//! The error type of the trace sink's file I/O.
 //!
-//! The sink and merge paths used to mix `io::Result` with stringly
-//! errors and the occasional `unwrap`; everything fallible now funnels
-//! through [`TraceError`], which always names the file involved —
-//! a sweep that dies on "Invalid argument" with no path is not
-//! debuggable at 2am.
+//! Everything fallible in the sink's public API funnels through
+//! [`TraceError`], which always names the file involved — a sweep that
+//! dies on "Invalid argument" with no path is not debuggable at 2am.
 
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// What went wrong in a trace I/O or merge operation, and where.
+/// What went wrong in a trace file operation, and where.
 #[derive(Debug)]
 pub enum TraceError {
     /// An operating-system I/O failure on `path`.
     Io {
-        /// The file being read or written.
+        /// The file being written.
         path: PathBuf,
         /// The underlying error.
         source: io::Error,
-    },
-    /// `path` held data the parser could not accept (a malformed spill
-    /// line, a snapshot with a bad histogram, …).
-    Malformed {
-        /// The offending file.
-        path: PathBuf,
-        /// What exactly failed, with a line number where applicable.
-        detail: String,
     },
 }
 
@@ -38,17 +28,10 @@ impl TraceError {
         }
     }
 
-    pub(crate) fn malformed(path: &Path, detail: impl Into<String>) -> TraceError {
-        TraceError::Malformed {
-            path: path.to_path_buf(),
-            detail: detail.into(),
-        }
-    }
-
     /// The file the error concerns.
     pub fn path(&self) -> &Path {
         match self {
-            TraceError::Io { path, .. } | TraceError::Malformed { path, .. } => path,
+            TraceError::Io { path, .. } => path,
         }
     }
 }
@@ -57,7 +40,6 @@ impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceError::Io { path, source } => write!(f, "{}: {source}", path.display()),
-            TraceError::Malformed { path, detail } => write!(f, "{}: {detail}", path.display()),
         }
     }
 }
@@ -66,7 +48,6 @@ impl std::error::Error for TraceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TraceError::Io { source, .. } => Some(source),
-            TraceError::Malformed { .. } => None,
         }
     }
 }

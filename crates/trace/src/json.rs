@@ -1,6 +1,6 @@
-//! Minimal hand-rolled JSON emission. `tms-trace` is intentionally
-//! dependency-free (even of the vendored `serde`), so the exporters
-//! share these few helpers instead.
+//! Minimal hand-rolled JSON emission. `tms-trace` does not depend on
+//! the vendored `serde`, so the exporters share these few helpers
+//! instead.
 
 use crate::sink::Histogram;
 

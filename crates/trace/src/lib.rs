@@ -1,4 +1,5 @@
-//! Zero-dependency structured tracing and metrics for the TMS pipeline.
+//! Structured tracing and metrics for the TMS pipeline, depending on
+//! nothing but `tms-faults`.
 //!
 //! The paper's whole contribution is a cost model that *predicts* where
 //! cycles go; this crate is what lets the implementation *show* where
@@ -32,27 +33,29 @@
 //! loop, unacceptable for a `--specfp-cap 0` sweep. [`Trace::streaming`]
 //! spills completed events to a `.trace.ndjson` file (one JSON object
 //! per line, see [`stream`]) through a buffer of at most `buffer_cap`
-//! events, while counters/histograms stay resident; the offline
-//! [`merge`] step (`tms trace merge`) converts one-or-many spill files
-//! into the same sorted Chrome document the in-memory sink renders —
-//! byte-identical for the same events.
+//! events, while counters/histograms stay resident; the offline merge
+//! (`tms trace merge`, backed by `tms_verify::traces`) converts
+//! one-or-many spill files into the same sorted Chrome document the
+//! in-memory sink renders — byte-identical for the same events, because
+//! it renders through this crate's [`render_chrome`]. This crate writes
+//! JSON and never parses it: every reader lives in `tms_verify::traces`.
 //!
 //! # Robustness: retry, degrade, recover
 //!
-//! Spill lines are written **line-atomically** (full frame + newline in
-//! one write), so a killed process tears at most the final line —
-//! which [`stream::parse_spill_lossy`] / [`merge::events_from_spills_lossy`]
-//! drop and report while recovering everything before it. Transient
-//! write errors are retried with bounded backoff; on exhaustion (or a
-//! torn/persistent failure) the sink **degrades to the in-memory
-//! mode** — no event or metric is lost, the memory bound is traded
-//! away, and the condition is recorded as the `trace.spill.degraded`
-//! counter plus [`Trace::spill_degraded`]. Every fallible public entry
-//! point returns a [`TraceError`] naming the file involved; the final
-//! `Drop` flush never panics (swallowed failures are counted by
-//! [`drop_flush_failures`] and logged once). The whole ladder is
-//! exercised deterministically by `tms-verify --faults` through
-//! [`Trace::streaming_faulted`].
+//! Spill lines are written **line-atomically** by
+//! [`stream::LineAppender`] (full frame + newline in one write), so a
+//! killed process tears at most the final line — which the lossy
+//! readers in `tms_verify::traces` drop and report while recovering
+//! everything before it. Transient write errors are retried with
+//! bounded backoff; on exhaustion (or a torn/persistent failure) the
+//! sink **degrades to the in-memory mode** — no event or metric is
+//! lost, the memory bound is traded away, and the condition is recorded
+//! as the `trace.spill.degraded` counter plus [`Trace::spill_degraded`].
+//! Every fallible public entry point returns a [`TraceError`] naming
+//! the file involved; the final `Drop` flush never panics (swallowed
+//! failures are counted by [`drop_flush_failures`] and logged once).
+//! The whole ladder is exercised deterministically by
+//! `tms-verify --faults` through [`Trace::streaming_faulted`].
 //!
 //! # Sharding: metrics are a monoid
 //!
@@ -95,13 +98,11 @@
 mod chrome;
 mod error;
 mod json;
-pub mod merge;
-mod parse;
 pub mod schema;
 mod sink;
 pub mod stream;
 
-pub use chrome::{ChromeEvent, PID_VIRTUAL, PID_WALL};
+pub use chrome::{render as render_chrome, ChromeEvent, PID_VIRTUAL, PID_WALL};
 pub use error::TraceError;
 pub use sink::{
     drop_flush_failures, Event, EventPhase, Histogram, MetricsSnapshot, SpanGuard, Trace,

@@ -2,13 +2,14 @@
 
 use crate::error::TraceError;
 use crate::json;
+use crate::stream::LineAppender;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{self, Write as _};
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
-use tms_faults::{FaultPlan, IoFault};
+use tms_faults::FaultPlan;
 
 /// Lock the sink state, tolerating poison: a worker panic caught by
 /// `tms_core::par` may have unwound while holding this mutex, and the
@@ -254,91 +255,32 @@ pub struct Event {
     pub args: Vec<(&'static str, String)>,
 }
 
-/// Retry attempts per spill line for transient (`Interrupted`) write
-/// errors, after which the sink degrades to the in-memory mode.
-const SPILL_WRITE_RETRIES: u32 = 3;
-
-/// Base backoff between spill-write retries; attempt `n` sleeps
-/// `SPILL_BACKOFF_US << n` microseconds (50, 100, 200 — bounded, tiny,
-/// and only ever paid on a failing disk).
-const SPILL_BACKOFF_US: u64 = 50;
-
 /// Spill half of a streaming sink: completed events drain to a
 /// newline-delimited JSON file whenever the resident buffer reaches
 /// `cap`, so a traced run holds at most `cap` events in memory.
 ///
 /// # Crash consistency and degradation
 ///
-/// Every event is written **line-atomically**: the full frame including
-/// its trailing newline is rendered into one buffer and handed to the
-/// writer in a single `write_all`, so as long as writes succeed the
-/// file is a clean prefix of complete lines at any instant (a killed
-/// process tears at most the final line, which the lossy readers in
-/// [`crate::stream`]/[`crate::merge`] drop and report). The `BufWriter`
-/// is flushed only on [`Trace::flush`]/drop — batching policy, not a
-/// consistency requirement.
+/// Events go through a [`LineAppender`], so the file is a clean prefix
+/// of complete lines at any instant and a killed process tears at most
+/// the final line (which `tms_verify::traces`' lossy readers drop and
+/// report). The `BufWriter` is flushed only on [`Trace::flush`]/drop —
+/// batching policy, not a consistency requirement.
 ///
-/// A failed write is retried up to [`SPILL_WRITE_RETRIES`] times with
-/// bounded backoff when transient (`ErrorKind::Interrupted`); on
-/// exhaustion — or immediately for torn/persistent failures — the sink
+/// When an append fails (a torn write, a persistent fault, or
+/// transient faults past the appender's retries) the sink
 /// **degrades**: it stops spilling and keeps all further events
 /// resident (the memory bound is gone, but no event and no metric is
 /// lost), recording `trace.spill.degraded` and the retry total in the
 /// metrics so the degradation is itself observable in snapshots.
 struct SpillState {
-    writer: io::BufWriter<std::fs::File>,
+    log: LineAppender<io::BufWriter<std::fs::File>>,
     path: std::path::PathBuf,
     cap: usize,
     high_water: usize,
     spilled: u64,
-    /// Write attempts made (including retries). Faults key off this, so
-    /// for a fixed event population the injected failure sequence is
-    /// identical at any worker count.
-    writes: u64,
-    retries: u64,
     /// Why the sink stopped spilling, once it has.
     degraded: Option<String>,
-    faults: FaultPlan,
-}
-
-impl SpillState {
-    /// Write one already-rendered ndjson line, retrying transient
-    /// failures. `Err(reason)` means the sink must degrade.
-    fn write_line(&mut self, line: &str) -> Result<(), String> {
-        let mut attempt = 0u32;
-        loop {
-            self.writes += 1;
-            let outcome = match self.faults.spill_write_fault(self.writes) {
-                Some(IoFault::ShortWrite) => {
-                    // Tear the line for real — write only a prefix —
-                    // so the recovery path downstream is exercised
-                    // against a genuinely torn file, then degrade:
-                    // the file's tail is no longer line-atomic.
-                    let cut = line.len() / 2;
-                    let _ = self.writer.write_all(&line.as_bytes()[..cut]);
-                    return Err("torn spill write".to_string());
-                }
-                Some(fault) => Err(fault.to_io_error()),
-                None => self.writer.write_all(line.as_bytes()),
-            };
-            match outcome {
-                Ok(()) => {
-                    self.spilled += 1;
-                    return Ok(());
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::Interrupted && attempt < SPILL_WRITE_RETRIES =>
-                {
-                    self.retries += 1;
-                    std::thread::sleep(std::time::Duration::from_micros(
-                        SPILL_BACKOFF_US << attempt,
-                    ));
-                    attempt += 1;
-                }
-                Err(e) => return Err(format!("spill write failed: {e}")),
-            }
-        }
-    }
 }
 
 #[derive(Default)]
@@ -361,34 +303,31 @@ fn drain_to_spill(st: &mut State) {
     }
     let mut line = String::new();
     let mut written = 0usize;
-    let mut failure: Option<String> = None;
     for ev in st.events.iter() {
         line.clear();
         crate::stream::write_ndjson_line(&mut line, ev);
-        match sp.write_line(&line) {
-            Ok(()) => written += 1,
-            Err(reason) => {
-                failure = Some(reason);
-                break;
-            }
+        if let Err(e) = sp.log.append(line.as_bytes()) {
+            // The appender has flushed what it could: the file is left
+            // as a maximal valid prefix, plus at most one torn line.
+            sp.degraded = Some(if e.kind() == io::ErrorKind::WriteZero {
+                "torn spill write".to_string()
+            } else {
+                format!("spill write failed: {e}")
+            });
+            *st.counters
+                .entry("trace.spill.degraded".to_string())
+                .or_insert(0) += 1;
+            break;
         }
+        written += 1;
     }
+    sp.spilled += written as u64;
     st.events.drain(..written);
-    if let Some(reason) = failure {
-        sp.degraded = Some(reason);
-        // Abandon the file, but push what the BufWriter holds to disk
-        // first (best-effort): the file is left as a maximal valid
-        // prefix — plus at most one torn line — for the lossy readers.
-        let _ = sp.writer.flush();
-        *st.counters
-            .entry("trace.spill.degraded".to_string())
-            .or_insert(0) += 1;
-    }
-    if sp.retries > 0 {
+    if sp.log.retries() > 0 {
         // Idempotent overwrite (not an add): `retries` is the running
         // total, so repeated drains keep the counter exact.
         st.counters
-            .insert("trace.spill.retries".to_string(), sp.retries);
+            .insert("trace.spill.retries".to_string(), sp.log.retries());
     }
 }
 
@@ -433,7 +372,7 @@ impl Drop for Sink {
         }
         let failed = match &mut st.spill {
             None => false,
-            Some(sp) => sp.degraded.is_some() || sp.writer.flush().is_err(),
+            Some(sp) => sp.degraded.is_some() || sp.log.flush().is_err(),
         };
         if failed && DROP_FLUSH_FAILURES.fetch_add(1, Ordering::Relaxed) == 0 {
             eprintln!(
@@ -519,13 +458,6 @@ impl MetricsSnapshot {
         out.push_str("\n}\n");
         out
     }
-
-    /// Parse a snapshot back from [`MetricsSnapshot::to_json`] output
-    /// (or from a full `metrics_json` document — the wall-clock
-    /// sections are ignored).
-    pub fn from_json(text: &str) -> Result<MetricsSnapshot, String> {
-        crate::merge::parse_snapshot(text)
-    }
 }
 
 impl Trace {
@@ -551,7 +483,7 @@ impl Trace {
     /// histograms and timers stay resident, so [`Trace::metrics`] and
     /// [`Trace::metrics_json`] are byte-identical to an in-memory sink
     /// recording the same run. Convert the spill file(s) to the Chrome
-    /// JSON with `tms trace merge` (or [`crate::merge::chrome_from_spills`]).
+    /// JSON with `tms trace merge` (or `tms_verify::traces::chrome_from_spills`).
     ///
     /// Call [`Trace::flush`] when the run completes to drain the buffer.
     /// Write failures mid-run never error and never lose events: the
@@ -581,15 +513,16 @@ impl Trace {
                 epoch: Instant::now(),
                 state: Mutex::new(State {
                     spill: Some(SpillState {
-                        writer: io::BufWriter::new(file),
+                        log: LineAppender::new(
+                            io::BufWriter::new(file),
+                            faults,
+                            FaultPlan::spill_write_fault,
+                        ),
                         path: path.to_path_buf(),
                         cap: buffer_cap.max(1),
                         high_water: 0,
                         spilled: 0,
-                        writes: 0,
-                        retries: 0,
                         degraded: None,
-                        faults,
                     }),
                     ..State::default()
                 }),
@@ -629,7 +562,7 @@ impl Trace {
         if let Some(sp) = &mut st.spill {
             if sp.degraded.is_none() {
                 let path = sp.path.clone();
-                sp.writer.flush().map_err(|e| TraceError::io(&path, e))?;
+                sp.log.flush().map_err(|e| TraceError::io(&path, e))?;
             }
         }
         Ok(())
@@ -653,7 +586,7 @@ impl Trace {
             lock_state(&s.state)
                 .spill
                 .as_ref()
-                .map_or(0, |sp| sp.retries)
+                .map_or(0, |sp| sp.log.retries())
         })
     }
 
@@ -985,7 +918,7 @@ impl Trace {
     /// The Chrome `trace_event` JSON (see [`crate::chrome`]) of the
     /// *resident* events. For a streaming sink the spilled events are
     /// on disk, not here — render those with `tms trace merge` /
-    /// [`crate::merge::chrome_from_spills`] instead.
+    /// `tms_verify::traces::chrome_from_spills` instead.
     pub fn chrome_json(&self) -> String {
         let Some(sink) = &self.inner else {
             return "{\"traceEvents\":[]}\n".to_string();
@@ -1398,103 +1331,6 @@ mod tests {
         assert_eq!(text.lines().count(), 100);
         assert_eq!(t.spill_degraded(), None);
         assert_eq!(t.spill_retries(), 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    fn stream_n_events(t: &Trace, n: u64) {
-        for i in 0..n {
-            t.event_at("sim.vthread", || format!("t{i}"), i % 4, i, 1, Vec::new);
-        }
-    }
-
-    #[test]
-    fn torn_write_degrades_and_keeps_events_resident() {
-        use tms_faults::{FaultPlan, FaultRates};
-        let dir = std::env::temp_dir().join("tms_trace_torn_write_test");
-        let path = dir.join("torn.trace.ndjson");
-        let plan = FaultPlan::with_rates(
-            1,
-            FaultRates {
-                spill_transient_per_1024: 0,
-                spill_torn_at: Some(10),
-                spill_fail_after: None,
-                ..FaultRates::default()
-            },
-        );
-        let t = Trace::streaming_faulted(&path, 4, plan).unwrap();
-        stream_n_events(&t, 30);
-        t.flush().unwrap(); // degradation is NOT an error
-                            // Write 10 tore: 9 events on disk, the rest held resident.
-        assert_eq!(t.spilled_events(), 9);
-        assert_eq!(t.event_count(), 30, "no event may be lost");
-        assert!(t.spill_degraded().unwrap().contains("torn"));
-        assert_eq!(t.counter("trace.spill.degraded"), 1);
-        // The file ends in a torn line; the lossy reader recovers the
-        // 9-line valid prefix (the 10th, half-written line drops).
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(crate::stream::parse_spill(&text).is_err());
-        let rec = crate::stream::parse_spill_lossy(&text).unwrap();
-        assert_eq!(rec.events.len(), 9);
-        assert!(rec.truncated.is_some());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn disk_full_degrades_without_retry_loops() {
-        use tms_faults::{FaultPlan, FaultRates};
-        let dir = std::env::temp_dir().join("tms_trace_disk_full_test");
-        let path = dir.join("full.trace.ndjson");
-        let plan = FaultPlan::with_rates(
-            2,
-            FaultRates {
-                spill_transient_per_1024: 0,
-                spill_torn_at: None,
-                spill_fail_after: Some(5),
-                ..FaultRates::default()
-            },
-        );
-        let t = Trace::streaming_faulted(&path, 2, plan).unwrap();
-        stream_n_events(&t, 20);
-        t.count("n", 20);
-        t.flush().unwrap();
-        assert_eq!(t.spilled_events(), 5);
-        assert_eq!(t.event_count(), 20);
-        assert!(t.spill_degraded().is_some());
-        assert_eq!(t.counter("n"), 20, "metrics survive degradation");
-        // Everything on disk is intact — disk-full never tears a line.
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(crate::stream::parse_spill(&text).unwrap().len(), 5);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn transient_faults_retry_and_the_stream_survives() {
-        use tms_faults::{FaultPlan, FaultRates};
-        let dir = std::env::temp_dir().join("tms_trace_transient_test");
-        let path = dir.join("flaky.trace.ndjson");
-        // ~12% of write attempts fail transiently; each gets up to 3
-        // retries at fresh attempt indices, so the probability of any
-        // line exhausting its retries is ~0.02% — and the seed makes
-        // the whole sequence deterministic, so this test cannot flake.
-        let plan = FaultPlan::with_rates(
-            0xC0FFEE,
-            FaultRates {
-                spill_transient_per_1024: 128,
-                spill_torn_at: None,
-                spill_fail_after: None,
-                ..FaultRates::default()
-            },
-        );
-        let t = Trace::streaming_faulted(&path, 8, plan.clone()).unwrap();
-        stream_n_events(&t, 200);
-        t.flush().unwrap();
-        assert_eq!(t.spill_degraded(), None, "retries should absorb these");
-        assert_eq!(t.spilled_events(), 200);
-        assert!(t.spill_retries() > 0, "the fault plan never fired");
-        assert_eq!(t.counter("trace.spill.retries"), t.spill_retries());
-        assert!(plan.injected_total() > 0);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(crate::stream::parse_spill(&text).unwrap().len(), 200);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,5 +1,5 @@
-//! The `.trace.ndjson` spill format: one event per line, newline-
-//! delimited JSON.
+//! The `.trace.ndjson` spill format, and the line-atomic appender that
+//! writes it.
 //!
 //! A [`crate::Trace::streaming`] sink writes completed events here as
 //! its bounded buffer fills, so a traced `--specfp-cap 0` sweep never
@@ -15,57 +15,19 @@
 //! [`crate::chrome::pid_of_cat`]) and is re-derived at render time.
 //! Span (`"ph":"X"`) args are strings; counter (`"ph":"C"`) args are
 //! unsigned integers, the same distinction the Chrome exporter makes.
-//! [`parse_line`] inverts [`write_ndjson_line`] exactly, which is what
-//! lets `tms trace merge` reproduce the in-memory exporter's bytes.
+//! This crate only writes the format. `tms_verify::traces` reads it
+//! back and inverts [`write_ndjson_line`] exactly, which is what lets
+//! `tms trace merge` reproduce the in-memory exporter's bytes.
+//!
+//! [`LineAppender`] is the one write path for ndjson logs: the spill
+//! sink appends events through it, and `tmsd`'s schedule cache appends
+//! its entries through it.
 
 use crate::json::{push_u64, write_str};
-use crate::parse::{parse, Json};
 use crate::sink::{Event, EventPhase};
-
-/// An event parsed back from a spill file — same shape as
-/// [`Event`] with owned strings.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OwnedEvent {
-    /// Chrome phase.
-    pub ph: EventPhase,
-    /// Category.
-    pub cat: String,
-    /// Event name.
-    pub name: String,
-    /// Track (`tid`).
-    pub track: u64,
-    /// Timestamp (µs or cycles).
-    pub ts_us: u64,
-    /// Duration (µs or cycles); 0 for counters.
-    pub dur_us: u64,
-    /// Annotations in recording order. Counter values are canonical
-    /// decimal integers.
-    pub args: Vec<(String, String)>,
-}
-
-impl crate::chrome::ChromeEvent for OwnedEvent {
-    fn phase(&self) -> EventPhase {
-        self.ph
-    }
-    fn cat(&self) -> &str {
-        &self.cat
-    }
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn track(&self) -> u64 {
-        self.track
-    }
-    fn ts_us(&self) -> u64 {
-        self.ts_us
-    }
-    fn dur_us(&self) -> u64 {
-        self.dur_us
-    }
-    fn args(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.args.iter().map(|(k, v)| (k.as_str(), v.as_str()))
-    }
-}
+use std::io::{self, Write};
+use std::time::Duration;
+use tms_faults::{FaultPlan, IoFault};
 
 /// Append `ev` as one ndjson line (including the trailing newline).
 pub fn write_ndjson_line(out: &mut String, ev: &Event) {
@@ -100,210 +62,91 @@ pub fn write_ndjson_line(out: &mut String, ev: &Event) {
     out.push_str("}}\n");
 }
 
-fn field_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer '{key}'"))
+/// `Interrupted` retries per line before [`LineAppender::append`] gives
+/// up.
+pub const APPEND_RETRIES: u32 = 3;
+
+/// Retry `n` (0-based) sleeps `APPEND_BACKOFF_US << n` microseconds:
+/// 50, 100, 200 — bounded, tiny, and only ever paid on a failing disk.
+const APPEND_BACKOFF_US: u64 = 50;
+
+/// Which fault-plan site keys an appender's injected faults
+/// ([`FaultPlan::spill_write_fault`] or
+/// [`FaultPlan::cache_write_fault`]).
+pub type FaultSite = fn(&FaultPlan, u64) -> Option<IoFault>;
+
+/// Appends whole lines to a log, **line-atomically**: each line,
+/// newline included, goes to the writer in one `write_all`, so while
+/// appends succeed the log is a clean prefix of complete lines, and a
+/// killed process tears at most the final one.
+///
+/// Every write attempt, retries included, takes the next 1-based
+/// attempt index, and the fault site is asked about that index — so for
+/// a fixed sequence of lines the injected faults are identical at any
+/// worker count, and a retried transient fault can clear. A failed
+/// attempt is retried up to [`APPEND_RETRIES`] times, after 50, 100 and
+/// 200 µs, when it is `ErrorKind::Interrupted`. An injected short write
+/// puts half the line in the log for real (the torn tail readers must
+/// cope with) and fails with `ErrorKind::WriteZero`, the kind
+/// `write_all` reports for a short write. Any failure that is not
+/// retried flushes the writer (best-effort) and returns the error;
+/// what to do next — degrade, stop persisting — is the caller's policy.
+pub struct LineAppender<W: Write> {
+    writer: W,
+    plan: FaultPlan,
+    site: FaultSite,
+    attempts: u64,
+    retries: u64,
 }
 
-/// Parse one spill line back into an [`OwnedEvent`].
-pub fn parse_line(line: &str) -> Result<OwnedEvent, String> {
-    let v = parse(line)?;
-    let ph = match v.get("ph").and_then(Json::as_str) {
-        Some("X") => EventPhase::Complete,
-        Some("C") => EventPhase::Counter,
-        other => return Err(format!("bad ph {other:?}")),
-    };
-    let cat = v
-        .get("cat")
-        .and_then(Json::as_str)
-        .ok_or("missing 'cat'")?
-        .to_string();
-    let name = v
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or("missing 'name'")?
-        .to_string();
-    let track = field_u64(&v, "tid")?;
-    let ts_us = field_u64(&v, "ts")?;
-    let dur_us = match ph {
-        EventPhase::Complete => field_u64(&v, "dur")?,
-        EventPhase::Counter => 0,
-    };
-    let args_obj = v
-        .get("args")
-        .and_then(Json::as_obj)
-        .ok_or("missing 'args' object")?;
-    let mut args = Vec::with_capacity(args_obj.len());
-    for (k, val) in args_obj {
-        let rendered = match (ph, val) {
-            (EventPhase::Complete, Json::Str(s)) => s.clone(),
-            (EventPhase::Counter, Json::U64(n)) => n.to_string(),
-            _ => return Err(format!("arg '{k}' has the wrong type for ph")),
-        };
-        args.push((k.clone(), rendered));
+impl<W: Write> LineAppender<W> {
+    /// An appender writing to `writer`, with faults from `plan` at
+    /// `site`.
+    pub fn new(writer: W, plan: FaultPlan, site: FaultSite) -> Self {
+        LineAppender {
+            writer,
+            plan,
+            site,
+            attempts: 0,
+            retries: 0,
+        }
     }
-    Ok(OwnedEvent {
-        ph,
-        cat,
-        name,
-        track,
-        ts_us,
-        dur_us,
-        args,
-    })
-}
 
-/// Parse a whole spill file (empty lines are not produced and not
-/// accepted). Errors carry the 1-based line number.
-pub fn parse_spill(text: &str) -> Result<Vec<OwnedEvent>, String> {
-    text.lines()
-        .enumerate()
-        .map(|(i, line)| parse_line(line).map_err(|e| format!("line {}: {e}", i + 1)))
-        .collect()
-}
-
-/// Outcome of [`parse_spill_lossy`]: the recovered events plus a note
-/// about the dropped tail, if the file was truncated.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveredSpill {
-    /// Every event on a complete, valid line.
-    pub events: Vec<OwnedEvent>,
-    /// Human-readable description of the dropped final line (`None`
-    /// when the file was fully intact).
-    pub truncated: Option<String>,
-}
-
-/// Crash-tolerant spill parse. The sink writes line-atomically, so a
-/// killed process (or an injected torn write) damages at most the
-/// **final** line of the file: this parser recovers the valid prefix
-/// and reports the dropped tail instead of failing the whole file. A
-/// bad line anywhere *before* the end is not a truncation artefact —
-/// that stays a hard error, as in [`parse_spill`].
-pub fn parse_spill_lossy(text: &str) -> Result<RecoveredSpill, String> {
-    let total = text.lines().count();
-    let mut events = Vec::with_capacity(total);
-    for (i, line) in text.lines().enumerate() {
-        match parse_line(line) {
-            Ok(ev) => events.push(ev),
-            Err(e) if i + 1 == total => {
-                return Ok(RecoveredSpill {
-                    events,
-                    truncated: Some(format!(
-                        "dropped truncated final line {} ({} byte(s): {e})",
-                        i + 1,
-                        line.len()
-                    )),
-                });
+    /// Append one complete line (its trailing newline included).
+    pub fn append(&mut self, line: &[u8]) -> io::Result<()> {
+        let mut retry = 0u32;
+        loop {
+            self.attempts += 1;
+            let outcome = match (self.site)(&self.plan, self.attempts) {
+                Some(IoFault::ShortWrite) => {
+                    let _ = self.writer.write_all(&line[..line.len() / 2]);
+                    Err(IoFault::ShortWrite.to_io_error())
+                }
+                Some(fault) => Err(fault.to_io_error()),
+                None => self.writer.write_all(line),
+            };
+            match outcome {
+                Ok(()) => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted && retry < APPEND_RETRIES => {
+                    self.retries += 1;
+                    std::thread::sleep(Duration::from_micros(APPEND_BACKOFF_US << retry));
+                    retry += 1;
+                }
+                Err(e) => {
+                    let _ = self.writer.flush();
+                    return Err(e);
+                }
             }
-            Err(e) => return Err(format!("line {}: {e}", i + 1)),
-        }
-    }
-    Ok(RecoveredSpill {
-        events,
-        truncated: None,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn span(name: &str, args: Vec<(&'static str, String)>) -> Event {
-        Event {
-            ph: EventPhase::Complete,
-            cat: "sweep",
-            name: name.to_string(),
-            track: 3,
-            ts_us: 10,
-            dur_us: 20,
-            args,
         }
     }
 
-    #[test]
-    fn spans_round_trip_exactly() {
-        let ev = span(
-            "ker\"nel\n",
-            vec![("loops", "18".into()), ("k", "v\\x".into())],
-        );
-        let mut line = String::new();
-        write_ndjson_line(&mut line, &ev);
-        assert!(line.ends_with('\n'));
-        let back = parse_line(line.trim_end()).unwrap();
-        assert_eq!(back.ph, EventPhase::Complete);
-        assert_eq!(back.cat, "sweep");
-        assert_eq!(back.name, "ker\"nel\n");
-        assert_eq!((back.track, back.ts_us, back.dur_us), (3, 10, 20));
-        assert_eq!(
-            back.args,
-            vec![
-                ("loops".to_string(), "18".to_string()),
-                ("k".to_string(), "v\\x".to_string())
-            ]
-        );
+    /// Transient faults retried away so far, over all lines.
+    pub fn retries(&self) -> u64 {
+        self.retries
     }
 
-    #[test]
-    fn counters_round_trip_with_numeric_args() {
-        let ev = Event {
-            ph: EventPhase::Counter,
-            cat: "sim.vcounter",
-            name: "sim.prune.log_len".to_string(),
-            track: 0,
-            ts_us: 96,
-            dur_us: 0,
-            args: vec![("value", "7".to_string())],
-        };
-        let mut line = String::new();
-        write_ndjson_line(&mut line, &ev);
-        assert!(line.contains("\"args\":{\"value\":7}"));
-        assert!(!line.contains("\"dur\""));
-        let back = parse_line(line.trim_end()).unwrap();
-        assert_eq!(back.ph, EventPhase::Counter);
-        assert_eq!(back.args, vec![("value".to_string(), "7".to_string())]);
-    }
-
-    #[test]
-    fn lossy_parse_recovers_the_valid_prefix() {
-        let ev = span("a", vec![("k", "v".into())]);
-        let mut text = String::new();
-        write_ndjson_line(&mut text, &ev);
-        write_ndjson_line(&mut text, &ev);
-        let whole_len = text.len();
-        write_ndjson_line(&mut text, &ev);
-        // Tear the final line mid-frame, as a killed process would.
-        let torn = &text[..whole_len + 20];
-        assert!(parse_spill(torn).is_err(), "strict parse must reject");
-        let rec = parse_spill_lossy(torn).unwrap();
-        assert_eq!(rec.events.len(), 2);
-        let note = rec.truncated.expect("truncation must be reported");
-        assert!(note.contains("line 3"), "{note}");
-
-        // An intact file recovers everything with no note.
-        let rec = parse_spill_lossy(&text).unwrap();
-        assert_eq!(rec.events.len(), 3);
-        assert_eq!(rec.truncated, None);
-        assert_eq!(parse_spill_lossy("").unwrap().events.len(), 0);
-    }
-
-    #[test]
-    fn lossy_parse_still_rejects_mid_file_corruption() {
-        let ev = span("a", vec![]);
-        let mut text = String::from("{\"ph\":\"X\"}\n");
-        write_ndjson_line(&mut text, &ev);
-        let err = parse_spill_lossy(&text).unwrap_err();
-        assert!(err.starts_with("line 1:"), "{err}");
-    }
-
-    #[test]
-    fn parse_spill_reports_line_numbers() {
-        let err = parse_spill("{\"ph\":\"X\"}\n").unwrap_err();
-        assert!(err.starts_with("line 1:"), "{err}");
-        let ev = span("a", vec![]);
-        let mut text = String::new();
-        write_ndjson_line(&mut text, &ev);
-        write_ndjson_line(&mut text, &ev);
-        assert_eq!(parse_spill(&text).unwrap().len(), 2);
+    /// Flush the underlying writer.
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.writer.flush()
     }
 }

@@ -14,7 +14,10 @@
 //!   bodies, register/memory recurrences, induction pressure and
 //!   always-aliasing (`p = 1.0`) carried dependences;
 //! * [`report`] — the `results/verify.json` artifact the `tms-verify`
-//!   binary emits.
+//!   binary emits;
+//! * [`traces`] — the readers for `tms-trace`'s spill files and metrics
+//!   snapshots, behind `tms trace merge`, `tms-verify merge-metrics`,
+//!   the fault campaign's spill self-check and `tmsd soak`.
 //!
 //! ```
 //! use tms_verify::checks::{check_loop, CheckConfig};
@@ -31,6 +34,7 @@ pub mod fuzz;
 pub mod glob;
 pub mod report;
 pub mod sweep;
+pub mod traces;
 
 pub use checks::{check_loop, CheckConfig, LoopVerdict, Violation};
 pub use fuzz::{fuzz_ddgs, fuzz_spec};

@@ -228,7 +228,7 @@ fn cmd_merge_metrics(argv: &[String]) -> ExitCode {
         );
         return ExitCode::from(2);
     }
-    let merged = match tms_trace::merge::merge_snapshot_files(&files) {
+    let merged = match tms_verify::traces::merge_snapshot_files(&files) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("tms-verify merge-metrics: {e}");
@@ -393,7 +393,7 @@ fn main() -> ExitCode {
                     eprintln!("tms-verify: cannot re-read {}: {e}", path.display());
                     return ExitCode::from(2);
                 }
-                Ok(text) => match tms_trace::stream::parse_spill_lossy(&text) {
+                Ok(text) => match tms_verify::traces::parse_spill_lossy(&text) {
                     Err(e) => {
                         eprintln!(
                             "tms-verify: spill {} corrupt beyond truncation: {e}",

@@ -315,7 +315,7 @@ fn cmd_trace_merge(out: &str, inputs: &[String]) -> ExitCode {
         eprintln!("tms trace merge: no input files — nothing to merge");
         return ExitCode::from(2);
     }
-    match tms_trace::merge::chrome_from_spills(&files) {
+    match tms_verify::traces::chrome_from_spills(&files) {
         Ok(json) => {
             if let Err(e) = std::fs::write(out, &json) {
                 eprintln!("cannot write {out}: {e}");

@@ -11,8 +11,8 @@
 //!   out-of-order single-threaded baseline;
 //! * [`workloads`] — Figure 1, classic kernels, SPECfp2000-calibrated
 //!   populations and the Table 3 DOACROSS suite;
-//! * [`mod@trace`] — zero-dependency structured tracing and metrics
-//!   (spans, counters, Chrome `trace_event` export), off by default;
+//! * [`mod@trace`] — structured tracing and metrics (spans, counters,
+//!   Chrome `trace_event` export), off by default;
 //! * [`mod@bench`] — the experiment harness regenerating every table and
 //!   figure of the paper's evaluation.
 //!

@@ -294,8 +294,7 @@ fn daemon_answers_over_tcp_and_shuts_down_cleanly() {
     let v = ask(r#"{"id":9,"verb":"metrics"}"#);
     assert_eq!(v.get("status").and_then(Value::as_str), Some("ok"));
     let snap = v.get("snapshot").expect("metrics reply carries a snapshot");
-    let snap = tms_trace::MetricsSnapshot::from_json(&serde_json::to_string(snap).unwrap())
-        .expect("snapshot must round-trip");
+    let snap = tms_verify::traces::snapshot_from_value(snap).expect("snapshot must round-trip");
     assert!(tms_trace::schema::unknown_metrics(&snap).is_empty());
     assert_eq!(snap.counters.get("tmsd.requests"), Some(&4));
     assert_eq!(snap.counters.get("tmsd.errors"), Some(&2));

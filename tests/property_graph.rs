@@ -8,7 +8,7 @@ use serde_json::Value;
 use tms_ddg::analysis::{topo_order_zero_dist, AcyclicPriorities, TimeFrames};
 use tms_ddg::mii::recurrence_info;
 use tms_ddg::scc::SccDecomposition;
-use tms_ddg::{Ddg, DdgBuilder, DdgError, InstId, OpClass};
+use tms_ddg::{Ddg, DdgBuilder, DdgError, Edge, InstId, Instruction, OpClass, MAX_MAGNITUDE};
 
 /// A valid random DDG: intra-iteration edges only go from lower to
 /// higher index (a DAG by construction), loop-carried edges are free.
@@ -199,5 +199,51 @@ fn dangling_edge_fails_to_deserialize_with_the_ddg_error() {
             DdgError::DanglingEdge { edge: k }.to_string(),
             "seed {seed}"
         );
+    }
+}
+
+/// Latency, distance and `|delay|` are bounded at `MAX_MAGNITUDE`: one
+/// past the bound fails to deserialize with the `DdgError` naming the
+/// instruction or edge, and the bound itself is accepted. Parse-only,
+/// so nothing here schedules an oversized graph.
+#[test]
+fn oversized_magnitudes_fail_to_deserialize_with_the_ddg_error() {
+    type Set = fn(&mut [Instruction], &mut [Edge], u32);
+    let ddg = tms_workloads::figure1();
+    let cases: [(Set, DdgError); 4] = [
+        (
+            |i, _, n| i[0].latency = n,
+            DdgError::LatencyTooLarge { inst: 0 },
+        ),
+        (
+            |_, e, n| e[0].distance = n,
+            DdgError::EdgeTooLarge { edge: 0 },
+        ),
+        (
+            |_, e, n| e[0].delay = n.into(),
+            DdgError::EdgeTooLarge { edge: 0 },
+        ),
+        (
+            |_, e, n| e[0].delay = -i64::from(n),
+            DdgError::EdgeTooLarge { edge: 0 },
+        ),
+    ];
+    for (set, want) in cases {
+        let json = |n| {
+            let (mut insts, mut edges) = (ddg.insts().to_vec(), ddg.edges().to_vec());
+            set(&mut insts, &mut edges, n);
+            serde_json::to_string(&Value::Object(vec![
+                ("name".into(), Value::Str(ddg.name().into())),
+                ("insts".into(), serde_json::to_value(&insts).unwrap()),
+                ("edges".into(), serde_json::to_value(&edges).unwrap()),
+            ]))
+            .unwrap()
+        };
+        assert!(
+            serde_json::from_str::<Ddg>(&json(MAX_MAGNITUDE)).is_ok(),
+            "{want}"
+        );
+        let err = serde_json::from_str::<Ddg>(&json(MAX_MAGNITUDE + 1)).unwrap_err();
+        assert_eq!(err.to_string(), want.to_string());
     }
 }

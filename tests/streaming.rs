@@ -22,9 +22,10 @@ use tms_core::par::Parallelism;
 use tms_core::{schedule_tms, TmsConfig};
 use tms_machine::{ArchParams, MachineModel};
 use tms_sim::{simulate_spmt_traced, SimConfig};
-use tms_trace::{merge, MetricsSnapshot, Trace};
+use tms_trace::{MetricsSnapshot, Trace};
 use tms_verify::fuzz::fuzz_ddgs;
 use tms_verify::sweep::{run_sweep, SweepConfig};
+use tms_verify::traces::chrome_from_spills;
 
 /// Run the SpMT simulator over a fuzzed population with per-thread
 /// trace collection, recording into `sink`. The engine emits only
@@ -73,7 +74,7 @@ fn streamed_fuzz_runs_merge_to_in_memory_bytes() {
     );
     assert_eq!(streamed.spilled_events(), mem.event_count() as u64);
     // and the offline merge reproduces the in-memory exporter exactly.
-    let merged = merge::chrome_from_spills(&[&spill]).unwrap();
+    let merged = chrome_from_spills(&[&spill]).unwrap();
     assert_eq!(
         merged,
         mem.chrome_json(),
@@ -102,7 +103,7 @@ fn multi_file_merge_concatenates_spills_in_order() {
     simulate_population(&b, 22, 4);
     b.flush().unwrap();
 
-    let merged = merge::chrome_from_spills(&[&pa, &pb]).unwrap();
+    let merged = chrome_from_spills(&[&pa, &pb]).unwrap();
     assert_eq!(merged, whole.chrome_json());
     std::fs::remove_dir_all(&dir).ok();
 }
