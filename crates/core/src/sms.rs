@@ -45,6 +45,18 @@ impl SchedScratch {
     }
 }
 
+/// Forced placements one engine attempt may make per instruction of
+/// the loop before it gives up at this II. The paper's SMS never
+/// ejects; the forced-placement fallback follows Rau's IMS, where this
+/// ratio is a tunable. Chosen by the sweep in DESIGN.md §5: the smallest
+/// ratio that still schedules every loop of every family, adds no
+/// pooled TMS simulated cycles on Fig. 4 and at most 0.1% to SMS's.
+pub const EJECT_BUDGET_PER_INST: usize = 2;
+
+/// Floor of the per-attempt ejection budget, so small loops keep room
+/// for a few ejection cascades.
+pub const EJECT_BUDGET_MIN: usize = 100;
+
 /// Per-slot admission control: the hook that turns SMS into TMS.
 pub trait SlotPolicy {
     /// May `v` be placed at `cycle` given the current partial schedule?
@@ -234,7 +246,8 @@ pub fn order_priorities(order: &[InstId], num_insts: usize) -> Vec<usize> {
 
 /// Attempt to schedule `ddg` at a fixed `ii` under `policy`, using the
 /// supplied node `order` and its priority map `pos` (see
-/// [`order_priorities`]). Returns `None` if any node finds no slot.
+/// [`order_priorities`]). When some node finds no slot, returns the
+/// [`FailKind`] of the engine exit that gave up.
 ///
 /// The caller supplies the [`TimeFrames`] for this `ii` (memoizable
 /// across attempts at the same II) and a [`SchedScratch`] whose buffers
@@ -246,8 +259,10 @@ pub fn order_priorities(order: &[InstId], num_insts: usize) -> Vec<usize> {
 /// modulo row are unscheduled and retried later. This handles the
 /// width-1 `Both` windows that tight recurrences produce, where
 /// increasing II alone can never resolve the conflict (zero-distance
-/// chains keep their relative positions at every II). A budget bounds
-/// the ejection churn; on exhaustion the II is rejected as usual.
+/// chains keep their relative positions at every II). A budget of
+/// `max(EJECT_BUDGET_PER_INST · n, EJECT_BUDGET_MIN)` forced placements
+/// bounds the ejection churn; on exhaustion the attempt fails with
+/// [`FailKind::EjectBudget`] and the II is rejected as usual.
 ///
 /// With `log = Some(..)` the attempt warm-starts from an
 /// [`AttemptLog`] (see [`crate::warm`]): the log carries the decision
@@ -276,7 +291,7 @@ pub fn try_schedule(
     scratch: &mut SchedScratch,
     log: Option<&mut AttemptLog>,
     mut prof: Option<&mut PlaceProfile>,
-) -> Option<Schedule> {
+) -> Result<Schedule, FailKind> {
     debug_assert_eq!(frames.ii, ii, "frames computed for a different II");
     let mut ps = match scratch.ps.take() {
         Some(mut ps) => {
@@ -303,7 +318,7 @@ pub fn try_schedule(
     if let Some(p) = prof {
         p.end_attempt();
     }
-    let out = complete.then(|| ps.snapshot(ddg));
+    let out = complete.map(|()| ps.snapshot(ddg));
     scratch.ps = Some(ps);
     out
 }
@@ -335,8 +350,8 @@ fn schedule_all(
     scratch: &mut SchedScratch,
     mut log: Option<&mut AttemptLog>,
     mut prof: Option<&mut PlaceProfile>,
-) -> bool {
-    let mut eject_budget = (ddg.num_insts() * 10).max(100);
+) -> Result<(), FailKind> {
+    let mut eject_budget = (ddg.num_insts() * EJECT_BUDGET_PER_INST).max(EJECT_BUDGET_MIN);
     // Topological sweep orders for the window bounds: DDG-static,
     // memoized on the graph's uid and reused by every probe below.
     scratch.win.prepare(ddg);
@@ -386,12 +401,12 @@ fn schedule_all(
                         ps.remove(ddg, n);
                     }
                 }
-                StepAction::Fail(_) => {
+                StepAction::Fail(kind) => {
                     // The whole attempt still fails at this step; the
                     // partial state is discarded by the caller, so the
                     // recorded post-probe mutations need not be applied.
                     log.replayed = (upto + 1) as u64;
-                    return false;
+                    return Err(*kind);
                 }
             }
             upto += 1;
@@ -448,8 +463,7 @@ fn schedule_all(
             }
             None => {
                 if eject_budget == 0 {
-                    record_fail(log, probes, FailKind::EjectBudget);
-                    return false;
+                    return Err(record_fail(log, probes, FailKind::EjectBudget));
                 }
                 eject_budget -= 1;
                 // IMS forced placement: take a slot at or after the
@@ -482,8 +496,7 @@ fn schedule_all(
                     p.classify_probes(&probes[probes_pre_force..], policy.scan_was_fast());
                 }
                 let Some(c) = forced else {
-                    record_fail(log, probes, FailKind::NoForcedSlot);
-                    return false;
+                    return Err(record_fail(log, probes, FailKind::NoForcedSlot));
                 };
                 scratch.earliest[v.index()] = c + 1;
                 let mut eject_before = std::mem::take(&mut scratch.ejected);
@@ -508,8 +521,7 @@ fn schedule_all(
                 let t_fit = profiling.then(Instant::now);
                 if !ps.fits(ddg, v, c) {
                     scratch.ejected = eject_before;
-                    record_fail(log, probes, FailKind::ForcedUnfit);
-                    return false;
+                    return Err(record_fail(log, probes, FailKind::ForcedUnfit));
                 }
                 ps.place(ddg, v, c);
                 if let Some(p) = prof.as_deref_mut() {
@@ -555,11 +567,11 @@ fn schedule_all(
             }
         }
     }
-    true
+    Ok(())
 }
 
-/// Terminal failure step of a recorded attempt.
-fn record_fail(log: Option<&mut AttemptLog>, probes: Vec<Probe>, kind: FailKind) {
+/// Terminal failure step of a recorded attempt; returns `kind`.
+fn record_fail(log: Option<&mut AttemptLog>, probes: Vec<Probe>, kind: FailKind) -> FailKind {
     if let Some(log) = log {
         log.executed += 1;
         log.steps.push(Step {
@@ -567,6 +579,7 @@ fn record_fail(log: Option<&mut AttemptLog>, probes: Vec<Probe>, kind: FailKind)
             action: StepAction::Fail(kind),
         });
     }
+    kind
 }
 
 /// After a forced placement of `v`, unschedule every placed neighbour
@@ -700,7 +713,7 @@ pub fn schedule_sms_with(
         let Some(frames) = TimeFrames::compute(ddg, ii) else {
             continue;
         };
-        if let Some(schedule) = try_schedule(
+        if let Ok(schedule) = try_schedule(
             ddg, machine, ii, &order, &pos, &AcceptAll, &frames, scratch, None, None,
         ) {
             debug_assert!(schedule.check_legal(ddg).is_none());

@@ -19,7 +19,7 @@ use crate::sms::{
     generic_scan_forced, generic_scan_window, order_priorities, schedule_sms_with, try_schedule,
     SchedError, SchedScratch, SlotPolicy,
 };
-use crate::warm::{AttemptLog, Probe};
+use crate::warm::{AttemptLog, FailKind, Probe};
 use std::collections::HashMap;
 use tms_ddg::analysis::{AcyclicPriorities, TimeFrames};
 use tms_ddg::{Ddg, InstId};
@@ -972,7 +972,8 @@ pub fn schedule_tms_traced(
             let mut prof = config.profile.then(|| PlaceProfile::new(ddg.num_insts()));
 
             // The attempt proper: place under C1/C2, then verify the
-            // normalised kernel. `None` means the engine placed nothing.
+            // normalised kernel. `Err` means the engine placed nothing,
+            // with the engine's reason when it ran at all.
             let built = {
                 let mut span = trace.span("tms", "attempt");
                 span.arg("loop", ddg.name());
@@ -1023,9 +1024,9 @@ pub fn schedule_tms_traced(
                                 p.attempt_max_chain(),
                             );
                         }
-                        placed
+                        placed.map_err(Some)
                     }
-                    _ => None,
+                    _ => Err(None),
                 };
                 // Post-search verification on the *normalised* kernel:
                 // the incremental C1/C2 checks run against provisional
@@ -1063,8 +1064,13 @@ pub fn schedule_tms_traced(
                 sp.merge(p);
             }
             match built {
-                None => trace.count("tms.reject.no-schedule", 1),
-                Some((_, diagnostics)) if !diagnostics.is_empty() => {
+                Err(fail) => {
+                    trace.count("tms.reject.no-schedule", 1);
+                    if fail == Some(FailKind::EjectBudget) {
+                        trace.count("tms.reject.eject-budget", 1);
+                    }
+                }
+                Ok((_, diagnostics)) if !diagnostics.is_empty() => {
                     rejected += 1;
                     trace.count("tms.rejected", 1);
                     for d in &diagnostics {
@@ -1079,7 +1085,7 @@ pub fn schedule_tms_traced(
                         });
                     }
                 }
-                Some((schedule, _)) => {
+                Ok((schedule, _)) => {
                     let achieved = crate::metrics::achieved_c_delay(ddg, &schedule, &model.costs);
                     let tms_key = model.cost_key(ii, achieved);
                     // The achieved C_delay is ≤ the candidate threshold
@@ -1564,7 +1570,7 @@ mod tests {
                     None,
                 );
                 assert!(
-                    got.is_none(),
+                    got.is_err(),
                     "engine built a schedule at C_delay {c_delay} < floor {floor} (ii {ii})"
                 );
             }

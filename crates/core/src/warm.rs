@@ -89,8 +89,9 @@ impl Probe {
     }
 }
 
-/// Why a recorded attempt failed (the terminal step of an incomplete
-/// log). Mirrors the cold engine's three failure exits.
+/// Why an engine attempt failed: the error of
+/// [`crate::sms::try_schedule`] and the terminal step of an incomplete
+/// log. One variant per failure exit of the cold engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailKind {
     /// The ejection budget ran out before the node found a slot.

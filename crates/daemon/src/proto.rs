@@ -46,11 +46,12 @@ use tms_ddg::Ddg;
 use tms_machine::MachineModel;
 
 /// Seed for the content-addressed cache key (the repo's signature
-/// constant). Changing it — or anything about the canonical
+/// constant, incremented whenever a change alters the schedules the
+/// engine builds). Changing it — or anything about the canonical
 /// serialisation — invalidates every persisted cache, which is the
 /// safe failure mode: a stale hit is a wrong answer, a cold miss is
 /// just work.
-pub const CACHE_KEY_SEED: u64 = 0x1CC9_2008;
+pub const CACHE_KEY_SEED: u64 = 0x1CC9_2009;
 
 /// The scheduling knobs a request may override. Exactly the
 /// [`tms_core::TmsConfig`] fields that change which schedule the

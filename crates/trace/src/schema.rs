@@ -63,8 +63,8 @@ pub const KNOWN_COUNTERS: &[&str] = &[
 /// Counter-name prefixes whose suffix is data-dependent (diagnostic
 /// kinds, demo scratch names). `tms.reject.<kind>` covers both the
 /// post-search verification kinds (`tms.reject.sync-exceeded`, …) and
-/// the search-level outcomes (`tms.reject.no-schedule`,
-/// `tms.reject.lost-to-baseline`).
+/// the search-level outcomes (`tms.reject.no-schedule`, its subset
+/// `tms.reject.eject-budget`, `tms.reject.lost-to-baseline`).
 pub const KNOWN_COUNTER_PREFIXES: &[&str] = &["tms.reject.", "demo."];
 
 /// Exact value-histogram names.

@@ -361,8 +361,10 @@ impl Drop for Sink {
         // Best-effort final spill; explicit `Trace::flush` is the
         // error-reporting path. This destructor must never panic (it
         // can run during an unwind, where a second panic aborts), so
-        // poison is tolerated and failures are counted, with the first
-        // one per process logged to stderr.
+        // poison is tolerated and failed flushes are counted, with the
+        // first one per process logged to stderr. A sink that degraded
+        // earlier is not a failed flush: `trace.spill.degraded` and
+        // `Trace::spill_degraded` already report it.
         let st = self
             .state
             .get_mut()
@@ -372,7 +374,7 @@ impl Drop for Sink {
         }
         let failed = match &mut st.spill {
             None => false,
-            Some(sp) => sp.degraded.is_some() || sp.log.flush().is_err(),
+            Some(sp) => sp.log.flush().is_err(),
         };
         if failed && DROP_FLUSH_FAILURES.fetch_add(1, Ordering::Relaxed) == 0 {
             eprintln!(

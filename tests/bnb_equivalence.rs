@@ -248,7 +248,7 @@ fn foreign_log_leaves_the_attempt_cold() {
         let framed: Vec<usize> = (0..loops.len()).filter(|&i| frames[i].is_some()).collect();
         for &a in &framed {
             let mut log = AttemptLog::new();
-            attempt(a, Some(&mut log));
+            let _ = attempt(a, Some(&mut log));
             if log.steps.is_empty() {
                 continue;
             }

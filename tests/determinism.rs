@@ -107,10 +107,11 @@ fn exhaustive_search_outcomes_match_golden_digest() {
     assert_eq!(search_digest(&cfg), "354494ef6818e7a6");
 }
 
-/// The work counts the gate pins, in [`WORK_PINS`] column order. The
-/// last, `squashes`, is misspeculations plus cascade squashes; the
-/// rest are trace counters.
-const WORK_COUNTS: [&str; 11] = [
+/// The work counts the gate pins, in [`WORK_PINS`] column order.
+/// `squashes` is misspeculations plus cascade squashes; the rest are
+/// trace counters. `tms.reject.eject-budget` counts the attempts whose
+/// engine ran out of its forced-placement budget.
+const WORK_COUNTS: [&str; 12] = [
     "tms.attempts",
     "tms.rejected",
     "tms.pruned.cost-bound",
@@ -122,17 +123,18 @@ const WORK_COUNTS: [&str; 11] = [
     "sim.cycles.exec",
     "sim.cycles.wait",
     "squashes",
+    "tms.reject.eject-budget",
 ];
 
 /// Exact work per family, one row of [`WORK_COUNTS`] each. A change
 /// that moves a count re-pins it and says why.
 #[rustfmt::skip]
-const WORK_PINS: [(&str, [u64; 11]); 5] = [
-    ("kernels", [247, 5, 39, 90, 205, 780, 1712, 1830, 9387, 3289, 504]),
-    ("fuzz", [4573, 367, 0, 620, 4047, 133085, 78097, 10466, 51120, 1133, 296]),
-    ("livermore", [292, 149, 39, 414, 222, 502, 6024, 2104, 9171, 1638, 252]),
-    ("doacross", [1657, 411, 0, 0, 1590, 413636, 300133, 1858, 19737, 0, 8]),
-    ("specfp", [7422, 1286, 0, 454, 7040, 1355933, 724442, 6838, 50162, 36, 14]),
+const WORK_PINS: [(&str, [u64; 12]); 5] = [
+    ("kernels", [247, 5, 39, 90, 205, 780, 1712, 1830, 9387, 3289, 504, 15]),
+    ("fuzz", [4573, 367, 0, 620, 4047, 73373, 42746, 10466, 51120, 1133, 296, 815]),
+    ("livermore", [292, 149, 39, 414, 222, 502, 6024, 2104, 9171, 1638, 252, 28]),
+    ("doacross", [1657, 317, 0, 0, 1590, 127976, 93297, 1858, 19737, 0, 8, 732]),
+    ("specfp", [7422, 1280, 0, 454, 7040, 537555, 288117, 6838, 50162, 36, 14, 4776]),
 ];
 
 /// The gate's five families: the kernels, the fuzzed population, the

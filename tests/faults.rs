@@ -211,6 +211,33 @@ fn torn_spill_recovers_valid_prefix_through_merge() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A sink that degraded on a torn write and then flushed cleanly is not
+/// a failed drop flush: dropping it leaves `drop_flush_failures()` where
+/// it was, since `trace.spill.degraded` already reported the tear.
+#[test]
+fn degraded_sink_drop_is_not_a_failed_flush() {
+    let dir = std::env::temp_dir().join("tms_faults_degraded_drop");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("torn.trace.ndjson");
+    let rates = FaultRates {
+        spill_transient_per_1024: 0,
+        spill_fail_after: None,
+        spill_torn_at: Some(3),
+        ..FaultRates::default()
+    };
+    let trace = Trace::streaming_faulted(&path, 2, FaultPlan::with_rates(7, rates)).unwrap();
+    stream_n_events(&trace, 10);
+    trace.flush().unwrap();
+    assert!(
+        trace.spill_degraded().is_some(),
+        "the torn write never fired"
+    );
+    let before = tms_trace::drop_flush_failures();
+    drop(trace);
+    assert_eq!(tms_trace::drop_flush_failures(), before);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn stream_n_events(t: &Trace, n: u64) {
     for i in 0..n {
         t.event_at("sim.vthread", || format!("t{i}"), i % 4, i, 1, Vec::new);
