@@ -12,11 +12,11 @@
 //! tends to produce longer lifetimes (larger MaxLive).
 
 use crate::schedule::{PartialSchedule, Schedule};
-use crate::sms::SchedError;
-use crate::window::force_floor;
+use crate::sms::{eject_row_conflicts, eject_violated_neighbours, SchedError};
+use crate::window::{force_floor_with, WindowScratch};
 use tms_ddg::analysis::{AcyclicPriorities, TimeFrames};
 use tms_ddg::{Ddg, InstId};
-use tms_machine::{mii, MachineModel, ResourceClass};
+use tms_machine::{mii, MachineModel};
 
 /// Result of running IMS on a loop.
 #[derive(Debug, Clone)]
@@ -50,16 +50,21 @@ fn try_ims(ddg: &Ddg, machine: &MachineModel, ii: u32) -> Option<Schedule> {
     }
     let mut earliest: Vec<i64> = vec![i64::MIN; ddg.num_insts()];
     let mut budget = (ddg.num_insts() * 12).max(120);
+    let mut win = WindowScratch::default();
+    win.prepare(ddg);
+    // Eviction lists; IMS replays nothing, so they are only scratch.
+    let (mut occupants, mut evicted) = (Vec::new(), Vec::new());
 
     while let Some(&v) = order.iter().find(|&&n| !ps.is_placed(n)) {
+        evicted.clear();
         // Early start from placed predecessors (transitive); IMS has no
         // upper bound — violated successors get ejected.
-        let es = force_floor(ddg, &ps, &frames, v);
+        let es = force_floor_with(ddg, &ps, &frames, v, &mut win);
         let slot = (es..es + ii as i64).find(|&c| ps.fits(ddg, v, c));
         match slot {
             Some(c) => {
                 ps.place(ddg, v, c);
-                eject_violated(ddg, &mut ps, v, ii);
+                eject_violated_neighbours(ddg, &mut ps, v, ii, &mut evicted);
             }
             None => {
                 if budget == 0 {
@@ -68,58 +73,16 @@ fn try_ims(ddg: &Ddg, machine: &MachineModel, ii: u32) -> Option<Schedule> {
                 budget -= 1;
                 let c = es.max(earliest[v.index()]);
                 earliest[v.index()] = c + 1;
-                evict_row(ddg, &mut ps, v, c, &pos);
+                eject_row_conflicts(ddg, &mut ps, v, c, &pos, &mut occupants, &mut evicted);
                 if !ps.fits(ddg, v, c) {
                     return None;
                 }
                 ps.place(ddg, v, c);
-                eject_violated(ddg, &mut ps, v, ii);
+                eject_violated_neighbours(ddg, &mut ps, v, ii, &mut evicted);
             }
         }
     }
     Some(ps.finish(ddg))
-}
-
-/// Eject placed neighbours whose dependence with `v` is violated.
-fn eject_violated(ddg: &Ddg, ps: &mut PartialSchedule, v: InstId, ii: u32) {
-    let iil = ii as i64;
-    loop {
-        let victim = ddg.edges().iter().find_map(|e| {
-            if e.src != v && e.dst != v {
-                return None;
-            }
-            let (Some(ts), Some(td)) = (ps.time(e.src), ps.time(e.dst)) else {
-                return None;
-            };
-            if td < ts + e.delay - iil * e.distance as i64 {
-                Some(if e.src == v { e.dst } else { e.src })
-            } else {
-                None
-            }
-        });
-        match victim {
-            Some(n) if n != v => ps.remove(ddg, n),
-            _ => break,
-        }
-    }
-}
-
-/// Evict the lowest-priority occupants of `cycle`'s row until `v` fits.
-fn evict_row(ddg: &Ddg, ps: &mut PartialSchedule, v: InstId, cycle: i64, pos: &[usize]) {
-    let class = ResourceClass::for_op(ddg.inst(v).op);
-    while !ps.fits(ddg, v, cycle) {
-        let occupants: Vec<InstId> = ps.placed_in_row(cycle).collect();
-        let victim = occupants
-            .iter()
-            .copied()
-            .filter(|&n| ResourceClass::for_op(ddg.inst(n).op) == class)
-            .max_by_key(|&n| pos[n.index()])
-            .or_else(|| occupants.iter().copied().max_by_key(|&n| pos[n.index()]));
-        match victim {
-            Some(n) => ps.remove(ddg, n),
-            None => return,
-        }
-    }
 }
 
 /// Run IMS: iterate II upward from MII until a schedule exists.

@@ -89,7 +89,8 @@ pub struct PlaceProfile {
     pub eject_chain_depth: Histogram,
     /// Forced placements per engine attempt.
     pub forced_per_attempt: Histogram,
-    /// Wall-clock ns deriving scheduling windows (topological sweeps).
+    /// Wall-clock ns deriving scheduling windows (cone walks and
+    /// longest-path relaxations).
     pub scan_ns: u64,
     /// Wall-clock ns in windowed admission scans (`scan_window`).
     pub probe_ns: u64,

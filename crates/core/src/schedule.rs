@@ -15,6 +15,9 @@ use tms_machine::MachineModel;
 pub struct PartialSchedule {
     ii: u32,
     times: Vec<Option<i64>>,
+    /// Modulo row of each placed node (`u32::MAX` when unplaced), set
+    /// at [`place`](Self::place) so row queries divide nothing.
+    rows: Vec<u32>,
     mrt: Mrt,
     placed: usize,
     /// Cached minimum placed cycle — the slot-admission policies query
@@ -29,6 +32,7 @@ impl PartialSchedule {
         PartialSchedule {
             ii,
             times: vec![None; ddg.num_insts()],
+            rows: vec![u32::MAX; ddg.num_insts()],
             mrt: Mrt::new(ii, machine),
             placed: 0,
             min_time: None,
@@ -42,6 +46,8 @@ impl PartialSchedule {
         self.ii = ii;
         self.times.clear();
         self.times.resize(ddg.num_insts(), None);
+        self.rows.clear();
+        self.rows.resize(ddg.num_insts(), u32::MAX);
         self.mrt.reset(ii, machine);
         self.placed = 0;
         self.min_time = None;
@@ -83,7 +89,7 @@ impl PartialSchedule {
 
     /// Modulo row of a placed instruction.
     pub fn row(&self, n: InstId) -> Option<i64> {
-        self.time(n).map(|t| t.rem_euclid(self.ii as i64))
+        self.time(n).map(|_| self.rows[n.index()] as i64)
     }
 
     /// Provisional stage of a placed instruction (floor division by II;
@@ -109,6 +115,7 @@ impl PartialSchedule {
         debug_assert!(self.times[n.index()].is_none(), "{n} placed twice");
         self.mrt.place(ddg.inst(n).op, cycle);
         self.times[n.index()] = Some(cycle);
+        self.rows[n.index()] = cycle.rem_euclid(self.ii as i64) as u32;
         self.placed += 1;
         if self.min_time.is_none_or(|m| cycle < m) {
             self.min_time = Some(cycle);
@@ -125,6 +132,7 @@ impl PartialSchedule {
         let t = self.times[n.index()].expect("removing unplaced node");
         self.mrt.remove(ddg.inst(n).op, t);
         self.times[n.index()] = None;
+        self.rows[n.index()] = u32::MAX;
         self.placed -= 1;
         if self.min_time == Some(t) {
             self.min_time = self.times.iter().flatten().min().copied();
@@ -133,14 +141,11 @@ impl PartialSchedule {
 
     /// Placed instructions currently occupying modulo row `row`.
     pub fn placed_in_row(&self, row: i64) -> impl Iterator<Item = InstId> + '_ {
-        let ii = self.ii as i64;
-        self.times
+        let row = row.rem_euclid(self.ii as i64) as u32;
+        self.rows
             .iter()
             .enumerate()
-            .filter_map(move |(i, t)| match t {
-                Some(t) if t.rem_euclid(ii) == row.rem_euclid(ii) => Some(InstId(i as u32)),
-                _ => None,
-            })
+            .filter_map(move |(i, &r)| (r == row).then_some(InstId(i as u32)))
     }
 
     /// Finalise: every instruction must be placed. Cycles are shifted

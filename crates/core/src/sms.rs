@@ -21,21 +21,27 @@ use tms_machine::{mii, MachineModel};
 
 /// Reusable per-worker buffers for repeated scheduling attempts.
 ///
-/// One [`try_schedule`] attempt allocates a partial schedule (times +
-/// MRT), a forced-slot floor, two longest-path distance vectors and a
-/// candidate-cycle list. The TMS search makes hundreds to
-/// thousands of attempts per loop, and the workload sweeps schedule
-/// hundreds of loops — hoisting those allocations into a scratch that
-/// each worker thread owns removes the allocator from the inner loop
-/// entirely. A scratch is plain state: dropping it any time is safe,
-/// and reusing it never changes results.
+/// One [`try_schedule`] attempt needs a partial schedule (times +
+/// MRT), a forced-slot floor, the window buffers, the ejection lists
+/// and the probe list a warm log records each step from. The TMS
+/// search makes hundreds to thousands of attempts per loop, and the
+/// workload sweeps schedule hundreds of loops — hoisting those
+/// allocations into a scratch that each worker thread owns removes the
+/// allocator from the inner loop, except for the exact-size copies a
+/// recorded step keeps. A scratch is plain state: dropping it any time
+/// is safe, and reusing it never changes results.
 #[derive(Default)]
 pub struct SchedScratch {
     ps: Option<PartialSchedule>,
     earliest: Vec<i64>,
     win: WindowScratch,
     occupants: Vec<InstId>,
+    /// Row occupants a forced placement evicts.
     ejected: Vec<InstId>,
+    /// Neighbours a forced placement evicts for violated dependences.
+    ejected_after: Vec<InstId>,
+    /// Probes of the current step, copied into the log when recording.
+    probes: Vec<Probe>,
 }
 
 impl SchedScratch {
@@ -352,7 +358,7 @@ fn schedule_all(
     mut prof: Option<&mut PlaceProfile>,
 ) -> Result<(), FailKind> {
     let mut eject_budget = (ddg.num_insts() * EJECT_BUDGET_PER_INST).max(EJECT_BUDGET_MIN);
-    // Topological sweep orders for the window bounds: DDG-static,
+    // Adjacency and topological rank for the window bounds: DDG-static,
     // memoized on the graph's uid and reused by every probe below.
     scratch.win.prepare(ddg);
     // Monotone forced-slot floor per node (IMS forward progress).
@@ -393,11 +399,11 @@ fn schedule_all(
                     debug_assert!(eject_budget > 0, "replay exceeded the cold budget");
                     eject_budget -= 1;
                     scratch.earliest[v.index()] = cycle + 1;
-                    for &n in eject_before {
+                    for &n in eject_before.iter() {
                         ps.remove(ddg, n);
                     }
                     ps.place(ddg, *v, *cycle);
-                    for &n in eject_after {
+                    for &n in eject_after.iter() {
                         ps.remove(ddg, n);
                     }
                 }
@@ -432,18 +438,18 @@ fn schedule_all(
             p.scan_ns += t_scan.unwrap().elapsed().as_nanos() as u64;
             p.note_scan(v);
         }
-        let mut probes: Vec<Probe> = Vec::new();
+        scratch.probes.clear();
         let t_probe = profiling.then(Instant::now);
         let slot = policy.scan_window(
             ddg,
             ps,
             v,
             &scratch.win.cycles,
-            recording.then_some(&mut probes),
+            recording.then_some(&mut scratch.probes),
         );
         if let Some(p) = prof.as_deref_mut() {
             p.probe_ns += t_probe.unwrap().elapsed().as_nanos() as u64;
-            p.classify_probes(&probes, policy.scan_was_fast());
+            p.classify_probes(&scratch.probes, policy.scan_was_fast());
         }
         match slot {
             Some(c) => {
@@ -456,14 +462,14 @@ fn schedule_all(
                 if let Some(log) = log.as_deref_mut() {
                     log.executed += 1;
                     log.steps.push(Step {
-                        probes,
+                        probes: scratch.probes.as_slice().into(),
                         action: StepAction::Place { v, cycle: c },
                     });
                 }
             }
             None => {
                 if eject_budget == 0 {
-                    return Err(record_fail(log, probes, FailKind::EjectBudget));
+                    return Err(record_fail(log, &scratch.probes, FailKind::EjectBudget));
                 }
                 eject_budget -= 1;
                 // IMS forced placement: take a slot at or after the
@@ -487,20 +493,19 @@ fn schedule_all(
                     // The forced floor's lower sweep is window work.
                     p.scan_ns += t_floor.unwrap().elapsed().as_nanos() as u64;
                 }
-                let probes_pre_force = probes.len();
+                let probes_pre_force = scratch.probes.len();
                 let t_force = profiling.then(Instant::now);
                 let forced =
-                    policy.scan_forced(ddg, ps, v, floor, recording.then_some(&mut probes));
+                    policy.scan_forced(ddg, ps, v, floor, recording.then_some(&mut scratch.probes));
                 if let Some(p) = prof.as_deref_mut() {
                     p.force_ns += t_force.unwrap().elapsed().as_nanos() as u64;
-                    p.classify_probes(&probes[probes_pre_force..], policy.scan_was_fast());
+                    p.classify_probes(&scratch.probes[probes_pre_force..], policy.scan_was_fast());
                 }
                 let Some(c) = forced else {
-                    return Err(record_fail(log, probes, FailKind::NoForcedSlot));
+                    return Err(record_fail(log, &scratch.probes, FailKind::NoForcedSlot));
                 };
                 scratch.earliest[v.index()] = c + 1;
-                let mut eject_before = std::mem::take(&mut scratch.ejected);
-                eject_before.clear();
+                scratch.ejected.clear();
                 let t_eject = profiling.then(Instant::now);
                 eject_row_conflicts(
                     ddg,
@@ -509,59 +514,43 @@ fn schedule_all(
                     c,
                     pos,
                     &mut scratch.occupants,
-                    &mut eject_before,
+                    &mut scratch.ejected,
                 );
                 if let Some(p) = prof.as_deref_mut() {
                     p.eject_ns += t_eject.unwrap().elapsed().as_nanos() as u64;
-                    for &n in &eject_before {
+                    for &n in &scratch.ejected {
                         p.note_ejected(n);
                     }
                 }
-                let chain_before = eject_before.len() as u64;
                 let t_fit = profiling.then(Instant::now);
                 if !ps.fits(ddg, v, c) {
-                    scratch.ejected = eject_before;
-                    return Err(record_fail(log, probes, FailKind::ForcedUnfit));
+                    return Err(record_fail(log, &scratch.probes, FailKind::ForcedUnfit));
                 }
                 ps.place(ddg, v, c);
                 if let Some(p) = prof.as_deref_mut() {
                     p.fit_ns += t_fit.unwrap().elapsed().as_nanos() as u64;
                 }
                 let t_eject2 = profiling.then(Instant::now);
-                if let Some(log) = log.as_deref_mut() {
-                    let mut eject_after = Vec::new();
-                    eject_violated_neighbours(ddg, ps, v, ii, &mut eject_after);
-                    if let Some(p) = prof.as_deref_mut() {
-                        p.eject_ns += t_eject2.unwrap().elapsed().as_nanos() as u64;
-                        for &n in &eject_after {
-                            p.note_ejected(n);
-                        }
-                        p.note_force(chain_before + eject_after.len() as u64);
+                scratch.ejected_after.clear();
+                eject_violated_neighbours(ddg, ps, v, ii, &mut scratch.ejected_after);
+                if let Some(p) = prof.as_deref_mut() {
+                    p.eject_ns += t_eject2.unwrap().elapsed().as_nanos() as u64;
+                    for &n in &scratch.ejected_after {
+                        p.note_ejected(n);
                     }
+                    p.note_force((scratch.ejected.len() + scratch.ejected_after.len()) as u64);
+                }
+                if let Some(log) = log.as_deref_mut() {
                     log.executed += 1;
                     log.steps.push(Step {
-                        probes,
+                        probes: scratch.probes.as_slice().into(),
                         action: StepAction::Force {
                             v,
                             cycle: c,
-                            eject_before,
-                            eject_after,
+                            eject_before: scratch.ejected.as_slice().into(),
+                            eject_after: scratch.ejected_after.as_slice().into(),
                         },
                     });
-                } else {
-                    // Reuse the scratch buffer for the second eviction
-                    // list too — nothing reads it when not recording a
-                    // log (the profiler accounts for it right here).
-                    eject_before.clear();
-                    eject_violated_neighbours(ddg, ps, v, ii, &mut eject_before);
-                    if let Some(p) = prof.as_deref_mut() {
-                        p.eject_ns += t_eject2.unwrap().elapsed().as_nanos() as u64;
-                        for &n in &eject_before {
-                            p.note_ejected(n);
-                        }
-                        p.note_force(chain_before + eject_before.len() as u64);
-                    }
-                    scratch.ejected = eject_before;
                 }
                 cursor = 0;
             }
@@ -571,11 +560,11 @@ fn schedule_all(
 }
 
 /// Terminal failure step of a recorded attempt; returns `kind`.
-fn record_fail(log: Option<&mut AttemptLog>, probes: Vec<Probe>, kind: FailKind) -> FailKind {
+fn record_fail(log: Option<&mut AttemptLog>, probes: &[Probe], kind: FailKind) -> FailKind {
     if let Some(log) = log {
         log.executed += 1;
         log.steps.push(Step {
-            probes,
+            probes: probes.into(),
             action: StepAction::Fail(kind),
         });
     }
@@ -586,7 +575,12 @@ fn record_fail(log: Option<&mut AttemptLog>, probes: Vec<Probe>, kind: FailKind)
 /// whose dependence with `v` the new slot violates; they will be
 /// rescheduled on a later pass. Victims are appended to `removed` (in
 /// eviction order) so warm-start recording can replay them verbatim.
-fn eject_violated_neighbours(
+///
+/// The victims are those of the lowest-id violated edge incident to
+/// `v`, repeatedly: one walk over `v`'s incident edges in id order
+/// finds them all, because removing a victim only un-violates edges,
+/// so no edge behind the walk can become violated again.
+pub(crate) fn eject_violated_neighbours(
     ddg: &Ddg,
     ps: &mut PartialSchedule,
     v: InstId,
@@ -594,29 +588,30 @@ fn eject_violated_neighbours(
     removed: &mut Vec<InstId>,
 ) {
     let iil = ii as i64;
-    loop {
-        let victim = ddg.edges().iter().find_map(|e| {
-            if e.src != v && e.dst != v {
-                return None;
-            }
-            let (Some(ts), Some(td)) = (ps.time(e.src), ps.time(e.dst)) else {
-                return None;
-            };
-            if td < ts + e.delay - iil * e.distance as i64 {
-                Some(if e.src == v { e.dst } else { e.src })
-            } else {
-                None
-            }
-        });
-        match victim {
-            Some(n) if n != v => {
-                ps.remove(ddg, n);
-                removed.push(n);
-            }
+    // Merge the successor and predecessor lists, each sorted by edge
+    // id; a self edge sits in both and is visited once.
+    let mut succ = ddg.succ_edges(v).peekable();
+    let mut pred = ddg.pred_edges(v).peekable();
+    while let Some((_, e)) = match (succ.peek(), pred.peek()) {
+        (Some(s), Some(p)) if p.0 < s.0 => pred.next(),
+        (Some(s), Some(p)) if p.0 == s.0 => pred.next().and(succ.next()),
+        (Some(_), _) => succ.next(),
+        (None, _) => pred.next(),
+    } {
+        let (Some(ts), Some(td)) = (ps.time(e.src), ps.time(e.dst)) else {
+            continue;
+        };
+        if td >= ts + e.delay - iil * e.distance as i64 {
+            continue;
+        }
+        let n = if e.src == v { e.dst } else { e.src };
+        if n == v {
             // A violated self-edge means the II itself is too small;
             // leave it for the legality check to reject.
-            _ => break,
+            break;
         }
+        ps.remove(ddg, n);
+        removed.push(n);
     }
 }
 
@@ -625,7 +620,7 @@ fn eject_violated_neighbours(
 /// issue width still blocks) any op. Victims are appended to `removed`
 /// (in eviction order) so warm-start recording can replay them
 /// verbatim.
-fn eject_row_conflicts(
+pub(crate) fn eject_row_conflicts(
     ddg: &Ddg,
     ps: &mut PartialSchedule,
     v: InstId,
@@ -735,10 +730,100 @@ pub fn schedule_sms_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use tms_ddg::{DdgBuilder, OpClass};
 
     fn machine() -> MachineModel {
         MachineModel::icpp2008()
+    }
+
+    /// Reference for [`eject_violated_neighbours`]: rescan the whole
+    /// edge list after every victim and evict the other endpoint of the
+    /// first violated edge incident to `v`, until none is left or the
+    /// first one is a self edge.
+    fn eject_by_edge_scan(
+        ddg: &Ddg,
+        ps: &mut PartialSchedule,
+        v: InstId,
+        ii: u32,
+        removed: &mut Vec<InstId>,
+    ) {
+        let iil = ii as i64;
+        loop {
+            let victim = ddg.edges().iter().find_map(|e| {
+                if e.src != v && e.dst != v {
+                    return None;
+                }
+                let (Some(ts), Some(td)) = (ps.time(e.src), ps.time(e.dst)) else {
+                    return None;
+                };
+                (td < ts + e.delay - iil * e.distance as i64).then_some(if e.src == v {
+                    e.dst
+                } else {
+                    e.src
+                })
+            });
+            match victim {
+                Some(n) if n != v => {
+                    ps.remove(ddg, n);
+                    removed.push(n);
+                }
+                _ => break,
+            }
+        }
+    }
+
+    #[test]
+    fn incident_edge_ejection_matches_whole_edge_scan() {
+        // Seeded random forced placements over the fuzz population, the
+        // kernels and Livermore: placements ignore dependences, so many
+        // edges are violated on both sides of the forced node, and
+        // II = 1 violates the self edges of every recurrence.
+        let m = machine();
+        let mut graphs = tms_verify::fuzz_ddgs(80, 0xe1ec7);
+        graphs.extend(tms_workloads::kernels::all_kernels());
+        graphs.extend(tms_workloads::livermore_suite());
+        let mut rng = SmallRng::seed_from_u64(22);
+        let (mut cases, mut multi, mut victims) = (0usize, 0usize, 0usize);
+        for g in &graphs {
+            let mii = mii(g, &m);
+            for ii in [1, mii, mii + 2] {
+                for trial in 0..6 {
+                    let mut ps = PartialSchedule::new(g, ii, &m);
+                    let span = 3 * ii as i64;
+                    for u in g.inst_ids() {
+                        let c = rng.gen_range(0..span);
+                        if rng.gen_bool(0.7) && ps.fits(g, u, c) {
+                            ps.place(g, u, c);
+                        }
+                    }
+                    let v = InstId(rng.gen_range(0..g.num_insts() as u32));
+                    if ps.is_placed(v) {
+                        ps.remove(g, v);
+                    }
+                    let Some(c) = (0..8)
+                        .map(|_| rng.gen_range(0..span))
+                        .find(|&c| ps.fits(g, v, c))
+                    else {
+                        continue;
+                    };
+                    ps.place(g, v, c);
+                    let (mut walked, mut scanned) = (ps.clone(), ps);
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    eject_violated_neighbours(g, &mut walked, v, ii, &mut got);
+                    eject_by_edge_scan(g, &mut scanned, v, ii, &mut want);
+                    assert_eq!(got, want, "{} II {ii} trial {trial} forced {v:?}", g.name());
+                    cases += 1;
+                    multi += (got.len() >= 2) as usize;
+                    victims += got.len();
+                }
+            }
+        }
+        assert!(
+            cases > 1_000 && multi > 100,
+            "{cases} forced placements, {multi} with several victims, {victims} victims"
+        );
     }
 
     #[test]

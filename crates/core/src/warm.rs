@@ -123,9 +123,9 @@ pub enum StepAction {
         /// Its issue cycle.
         cycle: i64,
         /// Row occupants evicted to make space (in eviction order).
-        eject_before: Vec<InstId>,
+        eject_before: Box<[InstId]>,
         /// Neighbours evicted for dependence violations (in order).
-        eject_after: Vec<InstId>,
+        eject_after: Box<[InstId]>,
     },
     /// The attempt failed here. A validated `Fail` step ends replay
     /// with the identical failure, skipping the whole attempt.
@@ -137,10 +137,14 @@ pub enum StepAction {
 /// engine made this step (resource-infeasible cycles are skipped
 /// without consulting the policy, and their feasibility is a function
 /// of the partial schedule, which replay reproduces exactly).
+///
+/// The lists are exact-size boxed slices copied out of the engine's
+/// reused buffers: a log keeps every step of the attempts it records,
+/// so slack capacity would stay resident for the life of the log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Step {
     /// Verdict facts, in evaluation order.
-    pub probes: Vec<Probe>,
+    pub probes: Box<[Probe]>,
     /// The action the verdicts led to.
     pub action: StepAction,
 }

@@ -190,7 +190,7 @@ impl Ddg {
     /// Two `Ddg` values with the same `uid` are guaranteed to have
     /// identical contents (graphs are immutable after construction and
     /// the only way to share a token is `clone`), so per-graph derived
-    /// state — topological sweep orders, time frames — can be memoized
+    /// state — window adjacency and rank, time frames — can be memoized
     /// against it without risking stale reuse across distinct graphs
     /// that happen to share an address or a shape.
     #[inline]

@@ -20,6 +20,17 @@
 //! the paper's MDT/invalentation protocol prescribes. Replayed threads
 //! have all register values resident (no RECV stalls), matching the
 //! cost model's `max(0, C_delay − C_spn)` re-execution gain.
+//!
+//! Per-thread state is flat and reused: inter-thread arrivals live in
+//! one `u64` slot per `(producer, hop)` of the communication plan, and
+//! every run of every thread writes into the same op-indexed buffers.
+//! The store log is keyed by address through `AddrHasher`, a
+//! multiplicative hash: the log is only ever probed by key and never
+//! iterated, so the hasher decides where entries sit but no result can
+//! depend on it. Its keys are the addresses [`crate::addr`] generates,
+//! never input, so nothing can craft colliding keys. The memory image
+//! keeps the standard map, since it is part of the public
+//! [`SpmtOutcome`].
 
 use crate::addr::AddressMap;
 use crate::cache::CacheHierarchy;
@@ -28,6 +39,7 @@ use crate::program::ThreadProgram;
 use crate::stats::SimStats;
 use crate::trace::{RunTrace, ThreadTrace};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use tms_core::postpass::CommPlan;
 use tms_core::schedule::Schedule;
 use tms_ddg::{Ddg, InstId};
@@ -47,14 +59,52 @@ pub struct SpmtOutcome {
     pub trace: Option<RunTrace>,
 }
 
-/// Result of executing one thread once.
-struct ThreadRun {
-    /// Send time per op (value ready + 1 for the SEND slot).
+/// Hasher for the store log's address keys: one folded 64×64→128-bit
+/// multiply per key. Addresses are word-aligned, so the fold mixes the
+/// product's high half into the low bits the table indexes with.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let p = (x as u128).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// An arrival slot no value has reached.
+const ABSENT: u64 = u64::MAX;
+
+/// Buffers one run of a thread writes, reused by every run of every
+/// thread; [`exec_thread`] overwrites them all.
+#[derive(Default)]
+struct ThreadBufs {
+    /// Completion time per op.
+    completes: Vec<Option<u64>>,
+    /// Send time per communication, indexed like
+    /// [`ThreadProgram::sends`] (value ready + 1 for the SEND slot).
     sends: Vec<Option<u64>>,
     /// Loads performed: `(addr, issue time)`.
     loads: Vec<(u64, u64)>,
     /// Stores performed: `(addr, write time, inst, orig iter)`.
     stores: Vec<(u64, u64, InstId, u64)>,
+}
+
+/// Timing of one run of a thread (its memory traffic is in the
+/// [`ThreadBufs`] it ran with).
+struct ThreadRun {
     /// End of the thread (max completion, or start when empty).
     end: u64,
     /// RECV stall cycles.
@@ -151,15 +201,32 @@ pub fn simulate_spmt_injected(
     let mut prev_start = 0u64;
     let mut prev_commit_end = 0u64;
     let mut restart_floor = 0u64;
-    let mut prev_sends: Vec<Option<u64>> = vec![None; program.ops.len()];
-    let mut prev_arrivals: HashMap<(usize, u32), u64> = HashMap::new();
+    // Arrival times of inter-thread register values: hop `h` of the
+    // producer at op `p` sits in slot `slot_base[p] + h - 1`, `ABSENT`
+    // when no value reached it. One slot set per thread, swapped with
+    // the previous thread's, whose slots feed the relays.
+    let mut slot_base = vec![usize::MAX; program.ops.len()];
+    let mut n_slots = 0usize;
+    for &(op, hops) in &program.sends {
+        slot_base[op] = n_slots;
+        n_slots += hops as usize;
+    }
+    let mut arrivals = vec![ABSENT; n_slots];
+    let mut prev_arrivals = vec![ABSENT; n_slots];
+    let mut bufs = ThreadBufs {
+        completes: vec![None; program.ops.len()],
+        sends: vec![None; program.sends.len()],
+        ..ThreadBufs::default()
+    };
+    let mut prev_sends: Vec<Option<u64>> = vec![None; program.sends.len()];
     // Store log for violation detection, pruned to the window in which
-    // overlap is possible.
-    let mut store_log: HashMap<u64, Vec<(u64, u64)>> = HashMap::new(); // addr -> (thread, time)
-                                                                       // (thread, addrs) in commit order, for pruning. A deque: threads
-                                                                       // retire strictly oldest-first, and `pop_front` keeps each
-                                                                       // retirement O(1) (a `Vec::remove(0)` here made pruning O(n²)
-                                                                       // across a long run).
+    // overlap is possible: addr -> (thread, time).
+    let mut store_log: HashMap<u64, Vec<(u64, u64)>, BuildHasherDefault<AddrHasher>> =
+        HashMap::default();
+    // (thread, addrs) in commit order, for pruning. A deque: threads
+    // retire strictly oldest-first, and `pop_front` keeps each
+    // retirement O(1) (a `Vec::remove(0)` here made pruning O(n²)
+    // across a long run).
     let mut log_threads: VecDeque<(u64, Vec<u64>)> = VecDeque::new();
     let keep_window = (ncore as u64 + program.stages as u64 + 4).max(8);
 
@@ -182,26 +249,28 @@ pub fn simulate_spmt_injected(
         prev_start = start;
 
         // Arrival times of inter-thread register values for thread k.
-        let mut arrivals: HashMap<(usize, u32), u64> = HashMap::new();
-        for &(op, hops) in &program.sends {
-            if let Some(t) = prev_sends[op] {
-                arrivals.insert((op, 1), t + costs.c_reg_com as u64);
-            }
-            for h in 2..=hops {
-                if let Some(&t) = prev_arrivals.get(&(op, h - 1)) {
+        for (i, &(op, hops)) in program.sends.iter().enumerate() {
+            let base = slot_base[op];
+            arrivals[base] = match prev_sends[i] {
+                Some(t) => t + costs.c_reg_com as u64,
+                None => ABSENT,
+            };
+            for h in 1..hops as usize {
+                arrivals[base + h] = match prev_arrivals[base + h - 1] {
+                    ABSENT => ABSENT,
                     // Relay copy in the previous thread re-sends.
-                    arrivals.insert((op, h), t + 1 + costs.c_reg_com as u64);
-                }
+                    t => t + 1 + costs.c_reg_com as u64,
+                };
             }
         }
-        if faults.is_enabled() && !arrivals.is_empty() {
+        if faults.is_enabled() && arrivals.iter().any(|&t| t != ABSENT) {
             // Injected ring-queue contention: every value bound for this
-            // thread is uniformly late. Applied to the arrival map (not
+            // thread is uniformly late. Applied to the arrival slots (not
             // per-op) so relays downstream see the same times the clean
             // run recorded.
             let extra = faults.stall_jitter(ddg.name(), k);
             if extra > 0 {
-                for t in arrivals.values_mut() {
+                for t in arrivals.iter_mut().filter(|t| **t != ABSENT) {
                     *t += extra;
                 }
             }
@@ -223,7 +292,9 @@ pub fn simulate_spmt_injected(
                 k,
                 run_start,
                 &arrivals,
+                &slot_base,
                 values_resident,
+                &mut bufs,
             );
             if !config.detect_violations {
                 break run;
@@ -231,7 +302,7 @@ pub fn simulate_spmt_injected(
             // A load that issued before an older thread's store to the
             // same address read stale data.
             let mut detect: Option<u64> = None;
-            for &(a, t_r) in &run.loads {
+            for &(a, t_r) in &bufs.loads {
                 if let Some(writes) = store_log.get(&a) {
                     for &(_, t_w) in writes {
                         if t_w > t_r {
@@ -270,7 +341,7 @@ pub fn simulate_spmt_injected(
         // overflows the buffer serialises one extra cycle per excess
         // store into its commit.
         let overflow =
-            (run.stores.len() as u64).saturating_sub(config.arch.spec_write_buffer_entries as u64);
+            (bufs.stores.len() as u64).saturating_sub(config.arch.spec_write_buffer_entries as u64);
         let commit_end = run.end.max(prev_commit_end) + costs.c_ci as u64 + overflow;
         stats.commit_cycles += costs.c_ci as u64 + overflow;
         stats.committed_threads += 1;
@@ -295,8 +366,8 @@ pub fn simulate_spmt_injected(
         core_free[core] = run.end;
 
         // Record committed stores.
-        let mut addrs = Vec::with_capacity(run.stores.len());
-        for &(a, t_w, inst, iter) in &run.stores {
+        let mut addrs = Vec::with_capacity(bufs.stores.len());
+        for &(a, t_w, inst, iter) in &bufs.stores {
             store_log.entry(a).or_default().push((k, t_w));
             addrs.push(a);
             // Program-order-last writer wins: (iter, inst id).
@@ -390,8 +461,8 @@ pub fn simulate_spmt_injected(
             );
         }
 
-        prev_sends = run.sends;
-        prev_arrivals = arrivals;
+        std::mem::swap(&mut prev_sends, &mut bufs.sends);
+        std::mem::swap(&mut prev_arrivals, &mut arrivals);
         stats.total_cycles = commit_end;
     }
 
@@ -405,7 +476,9 @@ pub fn simulate_spmt_injected(
     }
 }
 
-/// Execute one thread from `start`, returning its timeline.
+/// Execute one thread from `start` into `bufs`, returning its timing.
+/// `arrivals` and `slot_base` are the arrival slots described in
+/// [`simulate_spmt_injected`].
 #[allow(clippy::too_many_arguments)]
 fn exec_thread(
     ddg: &Ddg,
@@ -416,14 +489,20 @@ fn exec_thread(
     core: usize,
     k: u64,
     start: u64,
-    arrivals: &HashMap<(usize, u32), u64>,
+    arrivals: &[u64],
+    slot_base: &[usize],
     values_resident: bool,
+    bufs: &mut ThreadBufs,
 ) -> ThreadRun {
-    let n_ops = program.ops.len();
-    let mut completes: Vec<Option<u64>> = vec![None; n_ops];
-    let mut sends: Vec<Option<u64>> = vec![None; n_ops];
-    let mut loads = Vec::new();
-    let mut stores = Vec::new();
+    let ThreadBufs {
+        completes,
+        sends,
+        loads,
+        stores,
+    } = bufs;
+    completes.fill(None);
+    loads.clear();
+    stores.clear();
     let mut sync_stall = 0u64;
     let mut local_stall = 0u64;
     let mut end = start;
@@ -446,7 +525,8 @@ fn exec_thread(
         if !values_resident {
             for &(p, h) in &op.comm_deps {
                 if k >= h as u64 {
-                    if let Some(&t) = arrivals.get(&(p, h)) {
+                    let t = arrivals[slot_base[p] + h as usize - 1];
+                    if t != ABSENT {
                         ready_comm = ready_comm.max(t);
                     }
                 }
@@ -493,24 +573,17 @@ fn exec_thread(
     // per excess send lingers at its end (the core cannot retire the
     // blocked SENDs). Arrival times are unaffected — the values were
     // computed; they just occupy the producer longer.
-    let n_sends = program
-        .sends
-        .iter()
-        .filter(|&&(op, _)| completes[op].is_some())
-        .count() as u64;
-    let backpressure = n_sends.saturating_sub(config.arch.comm_queue_entries as u64);
-    for &(op, hops) in &program.sends {
-        if let Some(c) = completes[op] {
-            sends[op] = Some(c + 1);
+    let mut n_sends = 0u64;
+    for (send, &(op, hops)) in sends.iter_mut().zip(&program.sends) {
+        *send = completes[op].map(|c| c + 1);
+        if send.is_some() {
+            n_sends += 1;
             pairs += hops as u64;
         }
     }
-    end += backpressure;
+    end += n_sends.saturating_sub(config.arch.comm_queue_entries as u64);
 
     ThreadRun {
-        sends,
-        loads,
-        stores,
         end,
         sync_stall,
         local_stall,
@@ -852,6 +925,77 @@ mod tests {
             clean.stats.total_cycles
         );
         assert!(out.stats.sync_stall_cycles > clean.stats.sync_stall_cycles);
+    }
+
+    /// A kernel whose carried register values cross one, two and three
+    /// threads, with a speculated memory dependence, at II = 4 over
+    /// three stages. The relayed producers are slow enough that their
+    /// relayed arrivals, not the one-hop chain, bind their consumers.
+    fn relayed() -> (Ddg, Schedule) {
+        let mut b = DdgBuilder::new("relay");
+        let acc = b.inst("acc", OpClass::IntAlu);
+        let mul = b.inst("mul", OpClass::FpMul);
+        let ld = b.inst("ld", OpClass::Load);
+        let add = b.inst_lat("add", OpClass::FpAdd, 2);
+        let st = b.inst("st", OpClass::Store);
+        let far = b.inst_lat("far", OpClass::IntAlu, 16);
+        let mid = b.inst_lat("mid", OpClass::IntAlu, 12);
+        b.reg_flow(acc, mul, 0);
+        b.reg_flow(mul, ld, 0); // d_ker 1
+        b.reg_flow(ld, add, 0); // d_ker 1
+        b.reg_flow(add, st, 0);
+        b.reg_flow(acc, acc, 1); // d_ker 1
+        b.reg_flow(mid, mul, 2); // d_ker 2: one relay
+        b.reg_flow(far, add, 1); // d_ker 3: two relays
+        b.reg_flow(add, far, 2);
+        b.mem_flow(st, ld, 2, 0.25); // d_ker 1, speculated
+        let g = b.build().unwrap();
+        let sch = Schedule::from_times(&g, 4, vec![0, 1, 5, 8, 10, 3, 2]);
+        (g, sch)
+    }
+
+    /// Order-free digest of a memory image.
+    fn image_digest(image: &HashMap<u64, (InstId, u64)>) -> u64 {
+        let mut entries: Vec<_> = image.iter().map(|(&a, &(i, it))| (a, i, it)).collect();
+        entries.sort();
+        entries
+            .iter()
+            .flat_map(|&(a, i, it)| [a, i.0 as u64, it])
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
+                (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn relay_and_jitter_paths_match_pins() {
+        let (g, sch) = relayed();
+        let plan = CommPlan::build(&g, &sch);
+        let hops: Vec<u32> = plan.communications.iter().map(|c| c.hops).collect();
+        assert!(hops.contains(&2) && hops.contains(&3), "hops {hops:?}");
+
+        let clean = simulate_spmt(&g, &sch, &cfg(60, 4));
+        let rates = tms_faults::FaultRates {
+            misspec_per_1024: 0,
+            jitter_per_1024: 512,
+            jitter_max_cycles: 7,
+            ..tms_faults::FaultRates::default()
+        };
+        let plan = tms_faults::FaultPlan::with_rates(5, rates);
+        let jittered = simulate_spmt_injected(&g, &sch, &cfg(60, 4), &Trace::disabled(), &plan);
+        // Pinned before the arrivals moved from a per-thread map to
+        // flat per-(producer, hop) slots: the relays and the jitter
+        // pass over the arrivals must reproduce them exactly.
+        let got = |o: &SpmtOutcome| {
+            (
+                o.stats.total_cycles,
+                o.stats.sync_stall_cycles,
+                o.stats.send_recv_pairs,
+                o.memory_image.len(),
+                image_digest(&o.memory_image),
+            )
+        };
+        assert_eq!(got(&clean), (645, 1377, 480, 60, 0x6ae1_5d36_1bf2_f2d1));
+        assert_eq!(got(&jittered), (748, 1789, 480, 60, 0x6ae1_5d36_1bf2_f2d1));
     }
 
     #[test]
