@@ -18,8 +18,9 @@
 //! * [`ablation`] — §5.2's speculation ablation (`P_max = 0`
 //!   synchronises every memory dependence).
 //!
-//! Binaries under `src/bin/` print each experiment; Criterion benches
-//! under `benches/` time the same entry points.
+//! Binaries under `src/bin/` print each experiment and write its
+//! `results/*.json`. Wall-clock benchmarking lives in the standalone
+//! `perfbench/` package.
 
 pub mod ablation;
 pub mod config;

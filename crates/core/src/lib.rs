@@ -14,10 +14,10 @@
 //!   Definition 2's `sync`, Definition 3's *preserved* test);
 //! * [`postpass`] — copy insertion and SEND/RECV planning;
 //! * [`lifetimes`] / [`metrics`] — MaxLive, `C_delay` and the other
-//!   §5 reporting metrics;
-//! * [`list_sched`] — a non-pipelined list scheduler (a lower-bound
-//!   reference; Figure 5's actual baseline is `tms-sim`'s out-of-order
-//!   sequential model).
+//!   §5 reporting metrics.
+//!
+//! Figure 5's single-threaded baseline is not scheduled here: it is
+//! `tms_sim::simulate_sequential`, an out-of-order core model.
 //!
 //! # Quick start
 //!
@@ -52,7 +52,6 @@ pub mod cost;
 pub mod diagnostics;
 pub mod ims;
 pub mod lifetimes;
-pub mod list_sched;
 pub mod metrics;
 pub mod mrt;
 pub mod order;

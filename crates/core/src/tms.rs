@@ -22,6 +22,7 @@ use crate::sms::{
 use crate::warm::{AttemptLog, FailKind, Probe};
 use std::collections::HashMap;
 use tms_ddg::analysis::{AcyclicPriorities, TimeFrames};
+use tms_ddg::mii::sync_excess_floor;
 use tms_ddg::{Ddg, InstId};
 use tms_machine::{mii, CostConstants, MachineModel};
 use tms_trace::Trace;
@@ -851,24 +852,19 @@ pub fn schedule_tms_traced(
     // `(II, C_delay, P_max)` attempt.
     let probe_plan = ProbePlan::new(ddg);
 
-    // Placement-independent C1 floor on the C_delay threshold. A self
-    // register-flow dependence with distance ≥ 1 always forms an
-    // inter-iteration dependence whose producer and consumer rows
-    // coincide, so its synchronisation delay is the slot-independent
-    // constant `latency + C_reg_com`: every `accept` probe for that
-    // node rejects whenever `C_delay` sits below it, windowed and
-    // forced placements alike. Attempts under the floor therefore
-    // cannot place the node at any slot — the engine would burn its
-    // whole ejection budget rediscovering a rejection the edge list
-    // already proves, so such attempts short-circuit to the identical
-    // no-schedule outcome.
-    let c_delay_floor: i64 = ddg
-        .edges()
-        .iter()
-        .filter(|e| e.is_register_flow() && e.src == e.dst && e.distance >= 1)
-        .map(|e| sync_delay(0, 0, ddg.inst(e.src).latency, &model.costs))
-        .max()
-        .unwrap_or(i64::MIN);
+    // Placement-independent C1 floor on the C_delay threshold. Every
+    // register-flow circuit that carries distance forces some
+    // thread-crossing dependence on it to a sync of at least
+    // `C_reg_com + ⌈Σw / D⌉` in every legal kernel
+    // (`tms_ddg::mii::sync_excess_floor`), so no attempt under the floor
+    // can build a schedule that passes verification. The engine would
+    // only rediscover that, mostly by burning its ejection budget or
+    // building a kernel verification then rejects; such attempts
+    // short-circuit to the no-schedule outcome instead. They still
+    // count as attempts, so resolution and every reply are unchanged.
+    let c_delay_floor: i64 = sync_excess_floor(ddg).map_or(i64::MIN, |f| {
+        i64::from(f) + i64::from(model.costs.c_reg_com)
+    });
 
     // Branch-and-bound cuts (see `TmsConfig::prune`). The cost bound
     // needs the SMS incumbent; the `P_max` dedup only needs the loop to
@@ -981,9 +977,8 @@ pub fn schedule_tms_traced(
                 span.arg("c_delay", c_delay);
                 span.arg("p_max", p_max);
                 let placed = match frames {
-                    // Below the C_delay floor a self reg-flow dependence
-                    // provably rejects every slot of its node: same
-                    // outcome as the engine, decided without running it.
+                    // Below the C_delay floor no legal kernel exists:
+                    // decided without running the engine.
                     Some(frames) if c_delay as i64 >= c_delay_floor => {
                         let policy = TmsPolicy::new(&model.costs, &probe_plan, c_delay, p_max);
                         let t_place = prof.as_ref().map(|_| std::time::Instant::now());
@@ -1026,7 +1021,11 @@ pub fn schedule_tms_traced(
                         }
                         placed.map_err(Some)
                     }
-                    _ => Err(None),
+                    Some(_) => {
+                        trace.count("tms.reject.below-floor", 1);
+                        Err(None)
+                    }
+                    None => Err(None),
                 };
                 // Post-search verification on the *normalised* kernel:
                 // the incremental C1/C2 checks run against provisional
@@ -1529,59 +1528,83 @@ mod tests {
 
     #[test]
     fn c_delay_floor_short_circuit_matches_engine_outcome() {
-        // A high-latency self register-flow recurrence pins the C1
-        // synchronisation delay of its own edge at the
-        // placement-independent constant `latency + C_reg_com`. The
-        // search short-circuits attempts whose C_delay threshold sits
-        // below that floor; this test discharges the proof obligation
-        // by running the engine directly at a doomed threshold and
-        // checking it indeed finds no schedule, then confirms the full
-        // search resolves at or above the floor.
+        // The search short-circuits attempts whose C_delay threshold
+        // sits below the register-circuit floor (`sync_excess_floor`
+        // plus C_reg_com). This test discharges the proof obligation on
+        // two loops: a high-latency self recurrence, whose sync is the
+        // exact constant `latency + C_reg_com`, and a three-node circuit
+        // whose floor exceeds its self edge's. It runs the engine
+        // directly at doomed thresholds: each run must find no schedule
+        // or build one that verification rejects for an exceeded sync.
+        // The full search must then resolve at or above the floor.
         let costs = ArchParams::icpp2008().costs;
         let mut b = DdgBuilder::new("self-recurrence");
         let a = b.inst_lat("a", OpClass::FpDiv, 12);
         let c = b.inst("c", OpClass::IntAlu);
         b.reg_flow(a, a, 1); // sync fixed at 12 + C_reg_com
         b.reg_flow(a, c, 0);
-        let g = b.build().unwrap();
-        let floor = sync_delay(0, 0, 12, &costs);
-        assert_eq!(floor, 12 + costs.c_reg_com as i64);
+        let self_rec = b.build().unwrap();
+        let mut b = DdgBuilder::new("circuit");
+        let x = b.inst_lat("x", OpClass::FpDiv, 12);
+        let y = b.inst_lat("y", OpClass::FpMul, 4);
+        let z = b.inst_lat("z", OpClass::FpAdd, 2);
+        b.reg_flow(x, y, 0);
+        b.reg_flow(y, z, 0);
+        b.reg_flow(z, x, 1); // Σw = 18 at distance 1
+        b.reg_flow(z, z, 1); // self-edge floor only 2
+        let circuit = b.build().unwrap();
 
         let m = machine();
         let model = model(4);
-        let order = sms_order(&g);
-        let pos = order_priorities(&order, g.num_insts());
-        let mut scratch = SchedScratch::new();
-        let plan = ProbePlan::new(&g);
-        for ii in [12u32, 16, 24] {
-            let frames = TimeFrames::compute(&g, ii).unwrap();
-            for c_delay in [costs.min_c_delay(), floor as u32 - 1] {
-                let policy = TmsPolicy::new(&costs, &plan, c_delay, 1.0);
-                let got = try_schedule(
-                    &g,
-                    &m,
-                    ii,
-                    &order,
-                    &pos,
-                    &policy,
-                    &frames,
-                    &mut scratch,
-                    None,
-                    None,
-                );
+        for (g, excess, iis) in [(self_rec, 12, [12u32, 16, 24]), (circuit, 18, [18, 24, 36])] {
+            let name = g.name();
+            assert_eq!(sync_excess_floor(&g), Some(excess), "{name}");
+            let floor = excess + costs.c_reg_com;
+            let order = sms_order(&g);
+            let pos = order_priorities(&order, g.num_insts());
+            let mut scratch = SchedScratch::new();
+            let plan = ProbePlan::new(&g);
+            for ii in iis {
+                let frames = TimeFrames::compute(&g, ii).unwrap();
+                for c_delay in [costs.min_c_delay(), floor - 1] {
+                    let policy = TmsPolicy::new(&costs, &plan, c_delay, 1.0);
+                    let got = try_schedule(
+                        &g,
+                        &m,
+                        ii,
+                        &order,
+                        &pos,
+                        &policy,
+                        &frames,
+                        &mut scratch,
+                        None,
+                        None,
+                    );
+                    if let Ok(schedule) = got {
+                        let limits = VerifyLimits {
+                            c_delay: Some(c_delay),
+                            ..VerifyLimits::default()
+                        };
+                        let diagnostics = verify_schedule(&g, &schedule, &m, &costs, &limits);
+                        assert!(
+                            diagnostics
+                                .iter()
+                                .any(|d| matches!(d, Diagnostic::SyncExceeded { .. })),
+                            "{name}: a kernel at C_delay {c_delay} < floor {floor} (ii {ii}) \
+                             passed C1: {diagnostics:?}"
+                        );
+                    }
+                }
+            }
+
+            let r = schedule_tms(&g, &m, &model, &TmsConfig::default()).unwrap();
+            if !r.fell_back_to_sms {
                 assert!(
-                    got.is_err(),
-                    "engine built a schedule at C_delay {c_delay} < floor {floor} (ii {ii})"
+                    r.c_delay_threshold >= floor,
+                    "{name}: resolved below the provable C_delay floor"
                 );
             }
-        }
-
-        let r = schedule_tms(&g, &m, &model, &TmsConfig::default()).unwrap();
-        if !r.fell_back_to_sms {
-            assert!(
-                r.c_delay_threshold as i64 >= floor,
-                "resolved below the provable C_delay floor"
-            );
+            assert!(achieved_c_delay(&g, &r.schedule, &costs) >= floor, "{name}");
         }
     }
 

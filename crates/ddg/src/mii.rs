@@ -7,7 +7,12 @@
 //! `w(e) = delay(e) − II·distance(e)`. Positive-cycle detection is
 //! Bellman–Ford-style relaxation per SCC; `RecII` is found by binary
 //! search over `[1, Σ latency]`.
+//!
+//! The same max-cycle-ratio search, run on the register-flow edges,
+//! gives [`sync_excess_floor`]: a lower bound on the largest
+//! Definition-2 synchronisation excess of every legal kernel.
 
+use crate::edge::Edge;
 use crate::graph::Ddg;
 use crate::inst::InstId;
 use crate::scc::SccDecomposition;
@@ -28,16 +33,69 @@ pub fn recurrence_info(ddg: &Ddg, scc: &SccDecomposition) -> RecurrenceInfo {
     let mut scc_rec_ii = vec![0u32; scc.num_components()];
     let mut rec_ii = 1u32;
     for c in scc.recurrence_components(ddg) {
-        let ii = scc_rec_mii(ddg, scc, c);
+        let ii = scc_rec_mii(ddg, scc, c, 1);
         scc_rec_ii[c] = ii;
         rec_ii = rec_ii.max(ii);
     }
     RecurrenceInfo { rec_ii, scc_rec_ii }
 }
 
-/// Recurrence II of one SCC: smallest `II ≥ 1` with no positive cycle
+/// Placement-independent floor on the synchronisation excess
+/// `sync − C_reg_com` (Definition 2) that every legal kernel of `ddg`
+/// reaches on some thread-crossing register-flow dependence, or `None`
+/// when no register-flow circuit carries distance. A schedule's
+/// achieved `C_delay` is therefore at least `C_reg_com` plus this floor.
+///
+/// Take a register-flow circuit of total distance `D ≥ 1` whose edges
+/// all have `delay ≥ 0`. Around it the kernel-row differences sum to 0
+/// and the kernel distances sum to `D`. An edge at kernel distance 0
+/// has `row_y ≥ row_x + delay`; an edge that crosses threads (kernel
+/// distance ≥ 1, so at most `D` of them) has excess
+/// `row_x − row_y + lat(x)`. The crossing edges thus carry at least
+/// `Σw` of excess between them, with `w = min(lat(x), delay)`, and one
+/// of them at least `⌈Σw / D⌉`. A self edge is exact: its rows
+/// coincide, so its excess is its latency whatever its delay.
+///
+/// The maximum `⌈Σw / D⌉` over all circuits is the `RecII` search of
+/// [`recurrence_info`] on the register-flow subgraph reweighted to `w`,
+/// leaving out negative delays, per component that holds a carried
+/// edge.
+pub fn sync_excess_floor(ddg: &Ddg) -> Option<u32> {
+    let self_floor = ddg
+        .edges()
+        .iter()
+        .filter(|e| e.is_register_flow() && e.src == e.dst && e.distance >= 1)
+        .map(|e| ddg.inst(e.src).latency)
+        .max();
+    let reg = Ddg::from_parts(
+        ddg.name(),
+        ddg.insts().to_vec(),
+        ddg.edges()
+            .iter()
+            .filter(|e| e.is_register_flow() && e.delay >= 0)
+            .map(|e| Edge {
+                delay: e.delay.min(ddg.inst(e.src).latency as i64),
+                ..e.clone()
+            })
+            .collect(),
+    )
+    .expect("register subgraph of a valid DDG is valid");
+    let scc = SccDecomposition::compute(&reg);
+    let circuit_floor = (0..scc.num_components())
+        .filter(|&c| {
+            scc.members(c)
+                .iter()
+                .flat_map(|&n| reg.succ_edges(n))
+                .any(|(_, e)| e.distance >= 1 && scc.component_of(e.dst) == c)
+        })
+        .map(|c| scc_rec_mii(&reg, &scc, c, 0))
+        .max();
+    self_floor.max(circuit_floor)
+}
+
+/// Recurrence II of one SCC: smallest `II ≥ lo` with no positive cycle
 /// within the component under `w(e) = delay − II·distance`.
-fn scc_rec_mii(ddg: &Ddg, scc: &SccDecomposition, comp: usize) -> u32 {
+fn scc_rec_mii(ddg: &Ddg, scc: &SccDecomposition, comp: usize, lo: i64) -> u32 {
     // Upper bound: the sum of all delays in the component's edges
     // divided by the minimum distance (>= 1) of any cycle; a safe and
     // cheap bound is the sum of positive delays.
@@ -48,8 +106,8 @@ fn scc_rec_mii(ddg: &Ddg, scc: &SccDecomposition, comp: usize) -> u32 {
         .filter(|(_, e)| scc.component_of(e.dst) == comp)
         .map(|(_, e)| e.delay.max(0))
         .sum::<i64>()
-        .max(1);
-    let (mut lo, mut hi) = (1i64, hi);
+        .max(lo);
+    let (mut lo, mut hi) = (lo, hi);
     // Invariant: feasibility is monotone in II (larger II only makes
     // cycle weights smaller), so binary search applies.
     while lo < hi {
@@ -110,6 +168,7 @@ pub fn cycle_ratio_bound(delays: &[i64], distances: &[u32]) -> u32 {
 mod tests {
     use super::*;
     use crate::builder::DdgBuilder;
+    use crate::edge::{DepKind, DepType};
     use crate::inst::OpClass;
 
     fn info(g: &Ddg) -> RecurrenceInfo {
@@ -199,6 +258,60 @@ mod tests {
         assert_eq!(cycle_ratio_bound(&[6], &[2]), 3);
         assert_eq!(cycle_ratio_bound(&[5], &[2]), 3);
         assert_eq!(cycle_ratio_bound(&[4], &[2]), 2);
+    }
+
+    /// A register-flow edge from a latency-2 node to a latency-4 node,
+    /// left open for each test to close (or not).
+    fn two_plus_four() -> (DdgBuilder, InstId, InstId) {
+        let mut b = DdgBuilder::new("circ");
+        let a = b.inst_lat("a", OpClass::FpAdd, 2);
+        let c = b.inst_lat("c", OpClass::FpMul, 4);
+        b.reg_flow(a, c, 0);
+        (b, a, c)
+    }
+
+    #[test]
+    fn self_edge_floor_is_its_latency_at_any_distance() {
+        for (latency, distance) in [(12, 1), (6, 2)] {
+            let mut b = DdgBuilder::new("acc");
+            let a = b.inst_lat("a", OpClass::FpMul, latency);
+            b.reg_flow(a, a, distance);
+            assert_eq!(sync_excess_floor(&b.build().unwrap()), Some(latency));
+        }
+    }
+
+    #[test]
+    fn circuit_floor_divides_its_weight_by_its_distance() {
+        for (distance, floor) in [(1, 6), (2, 3)] {
+            let (mut b, a, c) = two_plus_four();
+            b.reg_flow(c, a, distance);
+            assert_eq!(sync_excess_floor(&b.build().unwrap()), Some(floor));
+        }
+    }
+
+    #[test]
+    fn no_register_flow_circuit_has_no_floor() {
+        // Left open.
+        let (b, _, _) = two_plus_four();
+        assert_eq!(sync_excess_floor(&b.build().unwrap()), None);
+
+        // Closed by a memory edge.
+        let (mut b, a, c) = two_plus_four();
+        b.mem_flow(c, a, 1, 1.0);
+        assert_eq!(sync_excess_floor(&b.build().unwrap()), None);
+
+        // Broken by a negative delay.
+        let (mut b, a, c) = two_plus_four();
+        b.edge(Edge {
+            src: c,
+            dst: a,
+            kind: DepKind::Register,
+            ty: DepType::Flow,
+            distance: 1,
+            delay: -1,
+            prob: 1.0,
+        });
+        assert_eq!(sync_excess_floor(&b.build().unwrap()), None);
     }
 
     #[test]

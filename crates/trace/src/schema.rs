@@ -63,8 +63,10 @@ pub const KNOWN_COUNTERS: &[&str] = &[
 /// Counter-name prefixes whose suffix is data-dependent (diagnostic
 /// kinds, demo scratch names). `tms.reject.<kind>` covers both the
 /// post-search verification kinds (`tms.reject.sync-exceeded`, …) and
-/// the search-level outcomes (`tms.reject.no-schedule`, its subset
-/// `tms.reject.eject-budget`, `tms.reject.lost-to-baseline`).
+/// the search-level outcomes (`tms.reject.no-schedule`, its subsets
+/// `tms.reject.eject-budget` and `tms.reject.below-floor` — attempts
+/// decided without the engine because their `C_delay` sits below the
+/// register-circuit floor — and `tms.reject.lost-to-baseline`).
 pub const KNOWN_COUNTER_PREFIXES: &[&str] = &["tms.reject.", "demo."];
 
 /// Exact value-histogram names.

@@ -9,6 +9,9 @@
 //!   (achieved `C_delay ≤` threshold, misspeculation `≤ P_max`, stage
 //!   cap), its stored cost key must be consistent, and it must never
 //!   cost more than the SMS baseline under the same eq. 2 model;
+//! * **`C_delay` floor** — neither schedule's achieved `C_delay` may sit
+//!   below `C_reg_com` plus the register-circuit floor
+//!   ([`sync_excess_floor`]) that the TMS search short-circuits on;
 //! * **SpMT execution** — the parallel simulation of both schedules
 //!   must commit exactly the sequential memory image, with violation
 //!   detection on (squash/replay correctness, including forced
@@ -18,6 +21,7 @@ use serde::Serialize;
 use tms_core::diagnostics::{verify_schedule, VerifyLimits};
 use tms_core::metrics::achieved_c_delay;
 use tms_core::{schedule_sms, schedule_tms_traced, CostModel, TmsConfig};
+use tms_ddg::mii::sync_excess_floor;
 use tms_ddg::Ddg;
 use tms_faults::FaultPlan;
 use tms_machine::{ArchParams, MachineModel};
@@ -168,6 +172,19 @@ fn check_loop_impl(ddg: &Ddg, cfg: &CheckConfig, trace: &Trace) -> LoopVerdict {
         v.fail("sms-invariant", d.to_string());
     }
     let sms_cd = achieved_c_delay(ddg, &sms.schedule, &costs);
+    // Every legal kernel reaches the register-circuit floor, so an
+    // achieved C_delay below it means the proof behind the search's
+    // short-circuit, or the schedule, is wrong.
+    let floor = sync_excess_floor(ddg).map(|f| f + costs.c_reg_com);
+    let check_floor = |v: &mut LoopVerdict, tag: &str, achieved: u32| {
+        if let Some(floor) = floor.filter(|&f| achieved < f) {
+            v.fail(
+                "c-delay-floor",
+                format!("{tag}: achieved C_delay {achieved} < floor {floor}"),
+            );
+        }
+    };
+    check_floor(&mut v, "sms", sms_cd);
 
     // --- TMS across the (ncore, P_max) grid.
     let mut tms_default = None;
@@ -209,6 +226,7 @@ fn check_loop_impl(ddg: &Ddg, cfg: &CheckConfig, trace: &Trace) -> LoopVerdict {
                 v.fail("tms-invariant", format!("{point}: {d}"));
             }
             let achieved = achieved_c_delay(ddg, &tms.schedule, &costs);
+            check_floor(&mut v, &point, achieved);
             if achieved > tms.c_delay_threshold {
                 v.fail(
                     "tms-threshold",

@@ -3,16 +3,19 @@
 //! population of `tms-verify` (deterministic; failures name the loop,
 //! which `fuzz_spec(index, seed)` regenerates exactly).
 
+use tms_bench::ExperimentConfig;
 use tms_core::cost::CostModel;
 use tms_core::lifetimes::max_live;
 use tms_core::metrics::{achieved_c_delay, kernel_misspec_prob};
 use tms_core::postpass::CommPlan;
 use tms_core::schedule::Schedule;
 use tms_core::tms::MAX_ATTEMPTS;
-use tms_core::{schedule_sms, schedule_tms, TmsConfig};
+use tms_core::{schedule_ims, schedule_sms, schedule_tms, TmsConfig};
+use tms_ddg::mii::sync_excess_floor;
 use tms_ddg::Ddg;
 use tms_machine::{ArchParams, MachineModel};
 use tms_verify::fuzz::fuzz_ddgs;
+use tms_workloads::{doacross_suite, kernels, livermore_suite};
 
 const SEED: u64 = 0x5EED_0001;
 
@@ -96,6 +99,55 @@ fn tms_thresholds_hold_on_the_final_kernel() {
         assert!(cd <= tms.c_delay_threshold, "{}", ddg.name());
         assert!(pm <= tms.p_max + 1e-12, "{}", ddg.name());
     }
+}
+
+/// Every legal kernel reaches `C_reg_com` plus the register-circuit
+/// floor the TMS search short-circuits on, whatever scheduler built it:
+/// SMS, IMS and TMS alike, over the fuzzed population, the kernels,
+/// the Livermore loops and the DOACROSS suite.
+#[test]
+fn achieved_c_delay_never_undercuts_the_register_circuit_floor() {
+    let arch = ArchParams::icpp2008();
+    let model = CostModel::new(arch.costs, arch.ncore);
+    let mut loops = population();
+    loops.extend(kernels::all_kernels());
+    loops.extend(livermore_suite());
+    loops.extend(
+        doacross_suite(ExperimentConfig::default().seed)
+            .into_iter()
+            .map(|l| l.ddg),
+    );
+    let mut bound = 0;
+    for ddg in &loops {
+        let Some(excess) = sync_excess_floor(ddg) else {
+            continue;
+        };
+        bound += 1;
+        let floor = excess + arch.costs.c_reg_com;
+        let schedules = [
+            ("SMS", schedule_sms(ddg, &machine()).unwrap().schedule),
+            ("IMS", schedule_ims(ddg, &machine()).unwrap().schedule),
+            (
+                "TMS",
+                schedule_tms(ddg, &machine(), &model, &TmsConfig::default())
+                    .unwrap()
+                    .schedule,
+            ),
+        ];
+        for (tag, schedule) in &schedules {
+            let cd = achieved_c_delay(ddg, schedule, &arch.costs);
+            assert!(
+                cd >= floor,
+                "{}: {tag} achieved C_delay {cd} < floor {floor}",
+                ddg.name()
+            );
+        }
+    }
+    assert!(
+        bound * 2 >= loops.len(),
+        "only {bound} of {} loops have a floor",
+        loops.len()
+    );
 }
 
 #[test]
