@@ -24,6 +24,18 @@
 //! panic-containing pool. Each request body additionally runs under its
 //! own `catch_unwind`, so one poisoned DDG yields one structured
 //! `error` reply instead of killing the daemon.
+//!
+//! Every accepted socket sets `TCP_NODELAY`, and each reply leaves in
+//! one write, line and newline together. Under Nagle's algorithm a
+//! write made while an earlier segment awaits its ACK waits for the
+//! client's delayed ACK, about 40 ms, which would cap a closed-loop
+//! client near 23 requests per second whatever the daemon's own work.
+//!
+//! The daemon's trace keeps one `tmsd`/`schedule` span per cold
+//! schedule and none per hit. Each TMS search records into a trace of
+//! its own whose counters and value histograms are folded into the
+//! daemon's (see [`Engine`]); its per-attempt spans are dropped with
+//! it, since nothing in the daemon reads them.
 
 use crate::cache::ScheduleCache;
 use crate::proto::{
@@ -38,6 +50,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::Duration;
 use tms_core::cost::CostModel;
 use tms_core::par::{par_map, Parallelism};
@@ -92,7 +105,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// tests (and the soak's self-checks) can drive request processing
 /// directly.
 pub struct Engine {
-    /// Live metrics; the `metrics` verb snapshots this.
+    /// Live metrics; the `metrics` verb snapshots this. Its only
+    /// events are one `tmsd`/`schedule` span per cold schedule.
     pub trace: Trace,
     /// Seeded fault oracle shared by every layer.
     pub plan: FaultPlan,
@@ -192,19 +206,28 @@ impl Engine {
         }
     }
 
-    /// The cold path: build the cost model and config, run the traced
-    /// TMS search, render the result. Returns the rendered result plus
-    /// the degradation diagnostic, if any.
+    /// The cold path: build the cost model and config, run the TMS
+    /// search, render the result. Returns the rendered result plus the
+    /// degradation diagnostic, if any.
+    ///
+    /// The search records into a fresh trace of its own (disabled when
+    /// the daemon's is). Its counters and value histograms are folded
+    /// into the daemon's trace whether the search returns a schedule or
+    /// an error; its attempt spans, counter samples and timers are
+    /// dropped with it. In their place the daemon's trace keeps one
+    /// `tmsd`/`schedule` span, with the key and the attempt count as
+    /// args. If the search panics, the counts it made before the panic
+    /// are lost with its trace.
     fn schedule_cold(
         &self,
         req: &ScheduleRequest,
     ) -> Result<(String, Option<String>), tms_core::SchedError> {
-        if self
-            .plan
-            .worker_panic_once(&format!("tmsd:{}", key_hex(req.key)))
-        {
+        let hex = key_hex(req.key);
+        if self.plan.worker_panic_once(&format!("tmsd:{hex}")) {
             panic!("injected tmsd worker panic");
         }
+        let mut span = self.trace.span("tmsd", "schedule");
+        span.arg("key", hex);
         let arch = ArchParams::with_ncore(req.ncore);
         let model = CostModel::new(arch.costs, req.ncore);
         let mut cfg = TmsConfig {
@@ -219,7 +242,15 @@ impl Engine {
         if let Some(s) = req.knobs.max_extra_stages {
             cfg.max_extra_stages = s;
         }
-        let tms = schedule_tms_traced(&req.ddg, &req.machine, &model, &cfg, &self.trace)?;
+        let search = if self.trace.is_enabled() {
+            Trace::enabled()
+        } else {
+            Trace::disabled()
+        };
+        let tms = schedule_tms_traced(&req.ddg, &req.machine, &model, &cfg, &search);
+        self.trace.merge_metrics(&search.metrics());
+        let tms = tms?;
+        span.arg("attempts", tms.attempts);
         let metrics = LoopMetrics::compute(&req.ddg, &req.machine, &tms.schedule, &arch.costs);
         let degraded = tms.degraded.as_ref().map(|d| d.to_string());
         Ok((render_result(req, &model, &tms, &metrics), degraded))
@@ -353,17 +384,33 @@ impl BoundedQueue {
 /// connection threads nor `shutdown`, which joins them.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(3);
 
-/// Write one reply line; returns whether it was written. A dead client
-/// is its own problem and the daemon must not die with it, so a failed
-/// write — including one that stalled past [`WRITE_TIMEOUT`] — gives
-/// the connection up: the socket is shut down both ways, the reader
-/// sees EOF, and every later write fails fast.
+/// How long a read may wait on a silent client: the reader wakes this
+/// often to check the shutdown flag, so shutdown is observed within it.
+const READ_TICK: Duration = Duration::from_millis(250);
+
+/// Set up an accepted socket: `TCP_NODELAY`, so a reply leaves at once
+/// instead of waiting for the ACK of the one before it, and the read
+/// and write timeouts. The read timeout turns a silent client into
+/// idle ticks of [`READ_TICK`]; the write timeout bounds how long a
+/// client that stopped reading can stall a reply.
+fn configure_socket(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(READ_TICK))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))
+}
+
+/// Write one reply line, newline included, in one write; returns
+/// whether it was written. A dead client is its own problem and the
+/// daemon must not die with it, so a failed write — including one that
+/// stalled past [`WRITE_TIMEOUT`] — gives the connection up: the socket
+/// is shut down both ways, the reader sees EOF, and every later write
+/// fails fast.
 fn write_line(writer: &Mutex<TcpStream>, line: &str) -> bool {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
     let mut w = lock(writer);
-    let sent = w
-        .write_all(line.as_bytes())
-        .and_then(|()| w.write_all(b"\n"))
-        .and_then(|()| w.flush());
+    let sent = w.write_all(&buf);
     if sent.is_err() {
         let _ = w.shutdown(Shutdown::Both);
     }
@@ -483,13 +530,12 @@ fn refuse(writer: &Mutex<TcpStream>, sh: &Shared, id: u64, msg: &str) -> bool {
 }
 
 /// One connection: spawn the reader, run the batch worker here, join.
+/// A socket that cannot be set up is dropped unserved: without its
+/// timeouts it could hold up `shutdown`.
 fn handle_conn(stream: TcpStream, sh: Arc<Shared>) {
-    // A finite read timeout turns a silent client into periodic idle
-    // ticks, so shutdown is always observed within ~250ms; the write
-    // timeout bounds how long a client that stopped reading can stall
-    // a reply.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    if configure_socket(&stream).is_err() {
+        return;
+    }
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -518,6 +564,20 @@ fn handle_conn(stream: TcpStream, sh: Arc<Shared>) {
         }
     }
     let _ = reader.join();
+}
+
+/// Join the connection threads that have finished and keep the rest,
+/// so a long-lived daemon holds a handle (and a thread's stack) per
+/// open connection, not per connection it ever accepted.
+fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < handles.len() {
+        if handles[i].is_finished() {
+            let _ = handles.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
 }
 
 /// Longest run of consecutive (injected or real) accept failures
@@ -576,6 +636,7 @@ pub fn serve(
                     std::thread::sleep(Duration::from_micros(100 << retry.min(6)));
                 }
                 consecutive_errors = 0;
+                reap_finished(&mut handles);
                 let sh = sh.clone();
                 handles.push(std::thread::spawn(move || handle_conn(stream, sh)));
             }
@@ -603,6 +664,7 @@ pub fn serve(
 mod tests {
     use super::*;
     use crate::proto::Request;
+    use std::time::Instant;
 
     fn schedule_req(id: u64) -> Box<ScheduleRequest> {
         let ddg = serde_json::to_string(&tms_workloads::figure1()).unwrap();
@@ -626,6 +688,48 @@ mod tests {
         q.close();
         assert_eq!(q.pop_batch(8).unwrap().len(), 1);
         assert!(q.pop_batch(8).is_none(), "closed and drained");
+    }
+
+    #[test]
+    fn accepted_sockets_set_nodelay_and_both_timeouts() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        assert!(!stream.nodelay().unwrap(), "Nagle is on by default");
+        configure_socket(&stream).unwrap();
+        assert!(stream.nodelay().unwrap());
+        // The kernel keeps socket timeouts in clock ticks, so they read
+        // back rounded to a few milliseconds.
+        let near = |got: Option<Duration>, want: Duration| {
+            got.is_some_and(|got| got.abs_diff(want) < Duration::from_millis(20))
+        };
+        let read = stream.read_timeout().unwrap();
+        assert!(near(read, READ_TICK), "read timeout {read:?}");
+        let write = stream.write_timeout().unwrap();
+        assert!(near(write, WRITE_TIMEOUT), "write timeout {write:?}");
+    }
+
+    #[test]
+    fn reaping_joins_finished_threads_and_keeps_blocked_ones() {
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let mut handles = vec![std::thread::spawn(move || {
+            let _ = rx.recv();
+        })];
+        handles.extend((0..3).map(|_| std::thread::spawn(|| {})));
+        let reap_down_to = |handles: &mut Vec<JoinHandle<()>>, left: usize| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while handles.len() > left {
+                assert!(Instant::now() < deadline, "threads never finished");
+                std::thread::sleep(Duration::from_millis(1));
+                reap_finished(handles);
+            }
+        };
+        reap_down_to(&mut handles, 1);
+        reap_finished(&mut handles);
+        assert_eq!(handles.len(), 1, "the blocked thread is kept");
+        assert!(!handles[0].is_finished());
+        tx.send(()).unwrap();
+        reap_down_to(&mut handles, 0);
     }
 
     #[test]

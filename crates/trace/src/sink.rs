@@ -429,15 +429,26 @@ pub struct MetricsSnapshot {
     pub values: BTreeMap<String, Histogram>,
 }
 
+/// The snapshot fold, on the two maps it touches: counters add,
+/// histograms merge. Shared by [`MetricsSnapshot::merge`] and
+/// [`Trace::merge_metrics`].
+fn fold_metrics(
+    counters: &mut BTreeMap<String, u64>,
+    values: &mut BTreeMap<String, Histogram>,
+    other: &MetricsSnapshot,
+) {
+    for (k, v) in &other.counters {
+        *counters.entry(k.clone()).or_insert(0) += v;
+    }
+    for (k, h) in &other.values {
+        values.entry(k.clone()).or_default().merge(h);
+    }
+}
+
 impl MetricsSnapshot {
     /// Fold `other` into `self`: counters add, histograms merge.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, h) in &other.values {
-            self.values.entry(k.clone()).or_default().merge(h);
-        }
+        fold_metrics(&mut self.counters, &mut self.values, other);
     }
 
     /// True when nothing has been recorded.
@@ -708,6 +719,17 @@ impl Trace {
                 st.values.insert(name.to_string(), *h);
             }
         }
+    }
+
+    /// Fold `snap` into this handle's counters and value histograms
+    /// under one lock: [`MetricsSnapshot::merge`] applied in place.
+    /// The fold commutes, so concurrent callers leave the same metrics
+    /// in any order. Events and timers are untouched.
+    pub fn merge_metrics(&self, snap: &MetricsSnapshot) {
+        let Some(sink) = &self.inner else { return };
+        let mut st = lock_state(&sink.state);
+        let st = &mut *st;
+        fold_metrics(&mut st.counters, &mut st.values, snap);
     }
 
     /// Open a wall-clock span. On drop it emits a Chrome event under
@@ -1312,6 +1334,18 @@ mod tests {
         merged.merge(&s2.metrics());
         assert_eq!(merged, single.metrics());
         assert_eq!(merged.to_json(), single.snapshot_json());
+
+        // Folding into a live handle is the same fold, and leaves its
+        // events alone.
+        let live = Trace::enabled();
+        drop(live.span("demo", "kept"));
+        live.merge_metrics(&s2.metrics());
+        live.merge_metrics(&s1.metrics());
+        assert_eq!(live.metrics(), single.metrics());
+        assert_eq!(live.event_count(), 1);
+        let off = Trace::disabled();
+        off.merge_metrics(&single.metrics());
+        assert!(off.metrics().is_empty());
     }
 
     #[test]

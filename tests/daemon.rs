@@ -1,19 +1,22 @@
 //! `tmsd` integration tests: the golden cache-key pin, the warm-equals-
-//! cold byte-identity property, torn-cache-file recovery through a
-//! daemon restart, and end-to-end TCP exchanges, including split and
+//! cold byte-identity property, what the engine's trace keeps,
+//! torn-cache-file recovery through a daemon restart, and end-to-end
+//! TCP exchanges, including closed-loop latency and split and
 //! over-long request lines.
 
 use serde_json::Value;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use tms_core::{schedule_tms_traced, CostModel, TmsConfig};
 use tms_daemon::proto::{cache_key, key_hex, parse_request, Knobs, Request};
 use tms_daemon::server::MAX_LINE_BYTES;
 use tms_daemon::{serve, DaemonConfig, Engine};
 use tms_faults::FaultPlan;
-use tms_machine::MachineModel;
+use tms_machine::{ArchParams, MachineModel};
 use tms_trace::Trace;
 use tms_verify::fuzz::fuzz_ddgs;
 use tms_workloads::figure1;
@@ -169,6 +172,65 @@ fn warm_replies_are_byte_identical_to_cold_over_fuzzed_ddgs() {
     assert_eq!(snap.counters.get("tmsd.cache.bypassed"), None);
 }
 
+/// The engine's trace keeps one `tmsd`/`schedule` span per cold
+/// request and nothing per hit, while its `tms.*` counters and value
+/// histograms are exactly those of the same searches run on a fresh
+/// trace.
+#[test]
+fn engine_trace_keeps_one_span_per_cold_schedule_and_every_search_metric() {
+    let engine = Engine::new(&DaemonConfig::default(), Trace::enabled());
+    let ddgs = fuzz_ddgs(6, 0x5EA4);
+    let reqs: Vec<_> = ddgs
+        .iter()
+        .enumerate()
+        .map(|(i, d)| parse_schedule(&schedule_line(i as u64, d, 4)))
+        .collect();
+    for req in &reqs {
+        engine.process(req);
+    }
+    for req in reqs.iter().take(4) {
+        assert!(engine.process(req).contains(r#""cached":true"#));
+    }
+    assert_eq!(engine.trace.event_count(), reqs.len());
+    let chrome: Value = serde_json::from_str(&engine.trace.chrome_json()).unwrap();
+    let events = chrome.get("traceEvents").and_then(Value::as_array).unwrap();
+    assert_eq!(events.len(), reqs.len());
+    for ev in events {
+        assert_eq!(
+            ev.get("cat").and_then(Value::as_str),
+            Some("tmsd"),
+            "{ev:?}"
+        );
+        assert_eq!(ev.get("name").and_then(Value::as_str), Some("schedule"));
+        let args = ev.get("args").expect("span args");
+        assert!(args.get("key").is_some() && args.get("attempts").is_some());
+    }
+
+    let direct = Trace::enabled();
+    let model = CostModel::new(ArchParams::with_ncore(4).costs, 4);
+    for ddg in &ddgs {
+        let _ = schedule_tms_traced(
+            ddg,
+            &MachineModel::icpp2008(),
+            &model,
+            &TmsConfig::default(),
+            &direct,
+        );
+    }
+    let (kept, want) = (engine.trace.metrics(), direct.metrics());
+    assert!(want.counters.get("tms.attempts").is_some_and(|&n| n > 0));
+    assert_eq!(tms_only(&kept.counters), want.counters);
+    assert_eq!(tms_only(&kept.values), want.values);
+}
+
+/// The entries of a metrics map under the `tms.` namespace.
+fn tms_only<V: Clone>(m: &BTreeMap<String, V>) -> BTreeMap<String, V> {
+    m.iter()
+        .filter(|(k, _)| k.starts_with("tms."))
+        .map(|(k, v)| (k.clone(), v.clone()))
+        .collect()
+}
+
 /// Satellite: tear the persisted cache mid-line, restart the daemon
 /// engine, and the valid prefix is recovered while the torn tail is
 /// dropped and rescheduled cold — with the same bytes.
@@ -300,6 +362,47 @@ fn daemon_answers_over_tcp_and_shuts_down_cleanly() {
     assert_eq!(snap.counters.get("tmsd.errors"), Some(&2));
 
     let v = ask(r#"{"id":10,"verb":"shutdown"}"#);
+    assert_eq!(v.get("shutdown").and_then(Value::as_bool), Some(true));
+    server
+        .join()
+        .expect("daemon thread must not panic")
+        .expect("daemon must exit cleanly");
+}
+
+/// A closed-loop client is answered at the daemon's speed. Each reply
+/// leaves in one write on a `TCP_NODELAY` socket; a reply sent as two
+/// writes under Nagle's algorithm waits for the client's delayed ACK,
+/// about 40 ms, on every request after a connection's first.
+#[test]
+fn closed_loop_replies_do_not_wait_for_delayed_acks() {
+    let (addr, server) = start_daemon();
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let line = format!("{}\n", schedule_line(1, &figure1(), 4));
+    let mut call = || {
+        (&stream).write_all(line.as_bytes()).unwrap();
+        read_reply(&mut reader)
+    };
+    let v = call();
+    assert_eq!(v.get("status").and_then(Value::as_str), Some("ok"), "{v:?}");
+    let started = Instant::now();
+    for _ in 0..50 {
+        let v = call();
+        assert_eq!(v.get("cached").and_then(Value::as_bool), Some(true));
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "50 closed-loop hits took {took:?}; replies held for delayed ACKs take at least 2 s"
+    );
+    (&stream)
+        .write_all(b"{\"id\":2,\"verb\":\"shutdown\"}\n")
+        .unwrap();
+    let v = read_reply(&mut reader);
     assert_eq!(v.get("shutdown").and_then(Value::as_bool), Some(true));
     server
         .join()
