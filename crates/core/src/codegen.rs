@@ -12,10 +12,12 @@
 //! * an **epilogue** of `S − 1` blocks draining stages `p..S`.
 //!
 //! In the paper's SpMT execution the kernel passes become speculative
-//! threads, so this module is what a code emitter — or the simulator's
-//! [`crate::postpass::CommPlan`]-driven lowering — consumes. It also
-//! gives tests an independent way to prove instance coverage: every
-//! `(instruction, iteration)` pair executes exactly once.
+//! threads. The simulator lowers a schedule into its thread program
+//! itself (`tms_sim::program`), from the same rows and stages, and
+//! `tests/simulator_correctness.rs` checks that both execute the same
+//! `(instruction, iteration)` instances. This module also gives tests
+//! an independent way to prove instance coverage: every pair executes
+//! exactly once.
 
 use crate::schedule::Schedule;
 use serde::{Deserialize, Serialize};

@@ -83,8 +83,6 @@ pub struct PlaceProfile {
     pub probe_c2_fast: u64,
     /// C2 rejections from the generic scan.
     pub probe_c2_generic: u64,
-    /// Opaque probes (policies without probe support).
-    pub probe_opaque: u64,
     /// Nodes ejected per forced placement (chain depth).
     pub eject_chain_depth: Histogram,
     /// Forced placements per engine attempt.
@@ -92,13 +90,13 @@ pub struct PlaceProfile {
     /// Wall-clock ns deriving scheduling windows (cone walks and
     /// longest-path relaxations).
     pub scan_ns: u64,
-    /// Wall-clock ns in windowed admission scans (`scan_window`).
+    /// Wall-clock ns in windowed admission scans.
     pub probe_ns: u64,
     /// Wall-clock ns committing placements into the MRT.
     pub fit_ns: u64,
     /// Wall-clock ns finding and evicting eject victims.
     pub eject_ns: u64,
-    /// Wall-clock ns in forced-slot admission scans (`scan_forced`).
+    /// Wall-clock ns in forced-slot admission scans.
     pub force_ns: u64,
     /// Wall-clock ns verifying built schedules (post-place).
     pub verify_ns: u64,
@@ -188,7 +186,6 @@ impl PlaceProfile {
                         &mut self.probe_c2_generic
                     }
                 }
-                Probe::Opaque => &mut self.probe_opaque,
             };
             *slot += 1;
         }
@@ -217,7 +214,6 @@ impl PlaceProfile {
         self.probe_c1_generic += other.probe_c1_generic;
         self.probe_c2_fast += other.probe_c2_fast;
         self.probe_c2_generic += other.probe_c2_generic;
-        self.probe_opaque += other.probe_opaque;
         self.eject_chain_depth.merge(&other.eject_chain_depth);
         self.forced_per_attempt.merge(&other.forced_per_attempt);
         self.scan_ns += other.scan_ns;

@@ -22,8 +22,9 @@ use tms_machine::{mii, MachineModel};
 /// Reusable per-worker buffers for repeated scheduling attempts.
 ///
 /// One [`try_schedule`] attempt needs a partial schedule (times +
-/// MRT), a forced-slot floor, the window buffers, the ejection lists
-/// and the probe list a warm log records each step from. The TMS
+/// MRT), a forced-slot floor, the window buffers, the forced scan's
+/// cycles, the ejection lists and the probe list a warm log records
+/// each step from. The TMS
 /// search makes hundreds to thousands of attempts per loop, and the
 /// workload sweeps schedule hundreds of loops — hoisting those
 /// allocations into a scratch that each worker thread owns removes the
@@ -42,6 +43,8 @@ pub struct SchedScratch {
     ejected_after: Vec<InstId>,
     /// Probes of the current step, copied into the log when recording.
     probes: Vec<Probe>,
+    /// Cycles a forced placement scans: `floor..floor + II`.
+    forced: Vec<i64>,
 }
 
 impl SchedScratch {
@@ -65,26 +68,11 @@ pub const EJECT_BUDGET_MIN: usize = 100;
 
 /// Per-slot admission control: the hook that turns SMS into TMS.
 pub trait SlotPolicy {
-    /// May `v` be placed at `cycle` given the current partial schedule?
-    /// Resource feasibility has already been checked.
-    fn accept(&self, ddg: &Ddg, ps: &PartialSchedule, v: InstId, cycle: i64) -> bool;
-
-    /// [`accept`](SlotPolicy::accept) that also reports the
-    /// knob-independent facts behind the verdict, for warm-start replay
-    /// (see [`crate::warm`]). The default records [`Probe::Opaque`] —
-    /// correct for any policy, but opaque probes never revalidate, so
-    /// such policies simply get no replay reuse.
-    fn accept_probed(
-        &self,
-        ddg: &Ddg,
-        ps: &PartialSchedule,
-        v: InstId,
-        cycle: i64,
-        probe: &mut Probe,
-    ) -> bool {
-        *probe = Probe::Opaque;
-        self.accept(ddg, ps, v, cycle)
-    }
+    /// The verdict on placing `v` at `cycle` given the current partial
+    /// schedule, with the knob-independent facts behind it for
+    /// warm-start replay (see [`crate::warm`]). Resource feasibility is
+    /// the engine's concern, not the policy's.
+    fn probe(&self, ddg: &Ddg, ps: &PartialSchedule, v: InstId, cycle: i64) -> Probe;
 
     /// Would a probe recorded by an earlier attempt yield the same
     /// verdict under this policy's current knobs? `false` is always
@@ -93,102 +81,48 @@ pub trait SlotPolicy {
         false
     }
 
-    /// First cycle of `cycles` (in order) that is resource-feasible and
-    /// policy-accepted, or `None`. When `probes` is given, the probe of
-    /// every policy evaluation is pushed in scan order — resource-
-    /// blocked cycles evaluate no probe — exactly as a per-cycle
-    /// [`accept_probed`](SlotPolicy::accept_probed) loop would record
-    /// them. Policies may override this with an equivalent faster scan;
-    /// the contract is byte-identical results *and* recordings.
-    fn scan_window(
+    /// First cycle of `cycles` (in order) the policy accepts, or `None`,
+    /// and whether a specialised fast path rather than [`generic_scan`]
+    /// produced the verdicts (the flag only splits the placement
+    /// profiler's probe attribution). With `fit`, resource-blocked
+    /// cycles are skipped without a probe; without it (forced
+    /// placement) resources are not checked and the engine ejects
+    /// occupants afterwards. Every probe is pushed onto `probes` in
+    /// scan order. Policies may override this with an equivalent faster
+    /// scan; the contract is byte-identical results *and* recordings.
+    fn scan(
         &self,
         ddg: &Ddg,
         ps: &PartialSchedule,
         v: InstId,
         cycles: &[i64],
-        probes: Option<&mut Vec<Probe>>,
-    ) -> Option<i64> {
-        generic_scan_window(self, ddg, ps, v, cycles, probes)
-    }
-
-    /// First cycle in `floor..floor + II` the policy accepts, or
-    /// `None`. Forced (IMS-style) placement: resource conflicts are
-    /// *not* checked — the engine ejects occupants afterwards. The
-    /// recording contract matches [`scan_window`](Self::scan_window).
-    fn scan_forced(
-        &self,
-        ddg: &Ddg,
-        ps: &PartialSchedule,
-        v: InstId,
-        floor: i64,
-        probes: Option<&mut Vec<Probe>>,
-    ) -> Option<i64> {
-        generic_scan_forced(self, ddg, ps, v, floor, probes)
-    }
-
-    /// Whether the policy's most recent scan (`scan_window` /
-    /// `scan_forced`) took a specialised fast path rather than the
-    /// generic per-slot reference scan. Purely informational: the
-    /// placement profiler uses it to split probe-outcome attribution.
-    /// Policies without a fast path keep the default.
-    fn scan_was_fast(&self) -> bool {
-        false
+        fit: bool,
+        probes: &mut Vec<Probe>,
+    ) -> (Option<i64>, bool) {
+        (generic_scan(self, ddg, ps, v, cycles, fit, probes), false)
     }
 }
 
-/// The reference windowed scan every [`SlotPolicy::scan_window`]
-/// override must agree with: first resource-feasible, policy-accepted
-/// cycle, probing (and recording) in scan order.
-pub fn generic_scan_window<P: SlotPolicy + ?Sized>(
+/// The reference scan every [`SlotPolicy::scan`] override must agree
+/// with: the first (with `fit`, resource-feasible) policy-accepted
+/// cycle, probing and recording in scan order.
+pub fn generic_scan<P: SlotPolicy + ?Sized>(
     policy: &P,
     ddg: &Ddg,
     ps: &PartialSchedule,
     v: InstId,
     cycles: &[i64],
-    mut probes: Option<&mut Vec<Probe>>,
+    fit: bool,
+    probes: &mut Vec<Probe>,
 ) -> Option<i64> {
-    let mut probe = Probe::Opaque;
     for &c in cycles {
-        if !ps.fits(ddg, v, c) {
+        if fit && !ps.fits(ddg, v, c) {
             continue;
         }
-        let ok = match probes.as_deref_mut() {
-            Some(rec) => {
-                let ok = policy.accept_probed(ddg, ps, v, c, &mut probe);
-                rec.push(probe);
-                ok
-            }
-            None => policy.accept(ddg, ps, v, c),
-        };
-        if ok {
+        let probe = policy.probe(ddg, ps, v, c);
+        probes.push(probe);
+        if probe.accepted() {
             return Some(c);
-        }
-    }
-    None
-}
-
-/// The reference forced scan every [`SlotPolicy::scan_forced`] override
-/// must agree with (no resource check; see the trait method).
-pub fn generic_scan_forced<P: SlotPolicy + ?Sized>(
-    policy: &P,
-    ddg: &Ddg,
-    ps: &PartialSchedule,
-    v: InstId,
-    floor: i64,
-    mut probes: Option<&mut Vec<Probe>>,
-) -> Option<i64> {
-    let mut probe = Probe::Opaque;
-    for x in floor..floor + ps.ii() as i64 {
-        let ok = match probes.as_deref_mut() {
-            Some(rec) => {
-                let ok = policy.accept_probed(ddg, ps, v, x, &mut probe);
-                rec.push(probe);
-                ok
-            }
-            None => policy.accept(ddg, ps, v, x),
-        };
-        if ok {
-            return Some(x);
         }
     }
     None
@@ -199,8 +133,11 @@ pub struct AcceptAll;
 
 impl SlotPolicy for AcceptAll {
     #[inline]
-    fn accept(&self, _ddg: &Ddg, _ps: &PartialSchedule, _v: InstId, _cycle: i64) -> bool {
-        true
+    fn probe(&self, _ddg: &Ddg, _ps: &PartialSchedule, _v: InstId, _cycle: i64) -> Probe {
+        Probe::Accept {
+            sync_max: i64::MIN,
+            misspec: None,
+        }
     }
 }
 
@@ -421,9 +358,6 @@ fn schedule_all(
         log.steps.truncate(upto);
     }
     let profiling = prof.is_some();
-    // The profiler reuses the warm-start probe recording to classify
-    // verdicts, so either consumer turns it on.
-    let recording = log.is_some() || profiling;
 
     // Next-unplaced cursor: nodes before it are placed, so the common
     // (ejection-free) path walks `order` once instead of rescanning it
@@ -440,16 +374,10 @@ fn schedule_all(
         }
         scratch.probes.clear();
         let t_probe = profiling.then(Instant::now);
-        let slot = policy.scan_window(
-            ddg,
-            ps,
-            v,
-            &scratch.win.cycles,
-            recording.then_some(&mut scratch.probes),
-        );
+        let (slot, fast) = policy.scan(ddg, ps, v, &scratch.win.cycles, true, &mut scratch.probes);
         if let Some(p) = prof.as_deref_mut() {
             p.probe_ns += t_probe.unwrap().elapsed().as_nanos() as u64;
-            p.classify_probes(&scratch.probes, policy.scan_was_fast());
+            p.classify_probes(&scratch.probes, fast);
         }
         match slot {
             Some(c) => {
@@ -495,11 +423,13 @@ fn schedule_all(
                 }
                 let probes_pre_force = scratch.probes.len();
                 let t_force = profiling.then(Instant::now);
-                let forced =
-                    policy.scan_forced(ddg, ps, v, floor, recording.then_some(&mut scratch.probes));
+                scratch.forced.clear();
+                scratch.forced.extend(floor..floor + ii as i64);
+                let (forced, fast) =
+                    policy.scan(ddg, ps, v, &scratch.forced, false, &mut scratch.probes);
                 if let Some(p) = prof.as_deref_mut() {
                     p.force_ns += t_force.unwrap().elapsed().as_nanos() as u64;
-                    p.classify_probes(&scratch.probes[probes_pre_force..], policy.scan_was_fast());
+                    p.classify_probes(&scratch.probes[probes_pre_force..], fast);
                 }
                 let Some(c) = forced else {
                     return Err(record_fail(log, &scratch.probes, FailKind::NoForcedSlot));

@@ -16,8 +16,8 @@ use crate::order::sms_order;
 use crate::profile::PlaceProfile;
 use crate::schedule::{PartialSchedule, Schedule};
 use crate::sms::{
-    generic_scan_forced, generic_scan_window, order_priorities, schedule_sms_with, try_schedule,
-    SchedError, SchedScratch, SlotPolicy,
+    generic_scan, order_priorities, schedule_sms_with, try_schedule, SchedError, SchedScratch,
+    SlotPolicy,
 };
 use crate::warm::{AttemptLog, FailKind, Probe};
 use std::collections::HashMap;
@@ -110,8 +110,8 @@ pub struct TmsConfig {
     /// wall clocks land in the `tms.place.{scan,probe,fit,eject,force,
     /// verify}` trace timers, which — like `tms.phase.*` — are excluded
     /// from the deterministic snapshot. Profiling costs real time (two
-    /// clock reads per engine step plus probe recording), so it is a
-    /// measurement mode, not a default.
+    /// clock reads per engine step plus probe classification), so it
+    /// is a measurement mode, not a default.
     pub profile: bool,
 }
 
@@ -368,11 +368,6 @@ pub struct TmsPolicy<'a> {
     /// Reusable buffer for the scan fast path (policies are built,
     /// used and dropped within one attempt on one thread).
     scan_buf: std::cell::RefCell<Vec<ScanEntry>>,
-    /// Whether the most recent scan took the closed-form fast path
-    /// (see [`SlotPolicy::scan_was_fast`]). The flag is a deterministic
-    /// function of the partial-schedule state, so profiler attribution
-    /// keyed on it stays worker-count-independent.
-    last_scan_fast: std::cell::Cell<bool>,
 }
 
 impl<'a> TmsPolicy<'a> {
@@ -385,12 +380,12 @@ impl<'a> TmsPolicy<'a> {
             c_delay,
             p_max,
             scan_buf: std::cell::RefCell::new(Vec::new()),
-            last_scan_fast: std::cell::Cell::new(false),
         }
     }
 
     /// Closed-form scan precondition. The fast path needs two frozen
-    /// facts the per-slot [`probe`](Self::probe) derives dynamically:
+    /// facts the per-slot [`probe`](SlotPolicy::probe) derives
+    /// dynamically:
     ///
     /// * **C2 vacuous at every slot** — `v` has no incident memory-flow
     ///   edge, so `v_adds_mem_dep` cannot fire at any cycle;
@@ -400,13 +395,13 @@ impl<'a> TmsPolicy<'a> {
     ///   shifts every row).
     ///
     /// Returns the base, or `None` → caller takes the generic per-slot
-    /// scan.
-    fn fast_scan_base(&self, ps: &PartialSchedule, v: InstId, lowest_cycle: i64) -> Option<i64> {
+    /// scan (as it does for an empty scan).
+    fn fast_scan_base(&self, ps: &PartialSchedule, v: InstId, cycles: &[i64]) -> Option<i64> {
         if !self.plan.mem_free[v.index()] {
             return None;
         }
         let m = ps.min_time()?;
-        (lowest_cycle >= m).then_some(m)
+        (*cycles.iter().min()? >= m).then_some(m)
     }
 
     /// Project `v`'s incident register edges against the frozen placed
@@ -480,7 +475,9 @@ impl<'a> TmsPolicy<'a> {
         }
         Ok(sync_max)
     }
+}
 
+impl SlotPolicy for TmsPolicy<'_> {
     /// Evaluate conditions C1/C2 for placing `v` at `c`, returning the
     /// verdict together with the knob-independent facts behind it (the
     /// sync delays and misspeculation product are pure functions of the
@@ -619,24 +616,6 @@ impl<'a> TmsPolicy<'a> {
             Probe::C2Reject { sync_max, misspec }
         }
     }
-}
-
-impl SlotPolicy for TmsPolicy<'_> {
-    fn accept(&self, ddg: &Ddg, ps: &PartialSchedule, v: InstId, c: i64) -> bool {
-        self.probe(ddg, ps, v, c).accepted()
-    }
-
-    fn accept_probed(
-        &self,
-        ddg: &Ddg,
-        ps: &PartialSchedule,
-        v: InstId,
-        c: i64,
-        probe: &mut Probe,
-    ) -> bool {
-        *probe = self.probe(ddg, ps, v, c);
-        probe.accepted()
-    }
 
     /// Revalidation rules per [`Probe`] variant. Each rule asks: does
     /// the cold engine, evaluated at the identical partial-schedule
@@ -647,7 +626,6 @@ impl SlotPolicy for TmsPolicy<'_> {
     fn probe_holds(&self, probe: &Probe) -> bool {
         let cd = self.c_delay as i64;
         match *probe {
-            Probe::Opaque => false,
             // Some new register dependence still exceeds the threshold.
             Probe::C1Reject { sync } => sync > cd,
             // Either the register sync or the misspeculation product
@@ -661,37 +639,31 @@ impl SlotPolicy for TmsPolicy<'_> {
         }
     }
 
-    /// Closed-form windowed scan. When the precondition holds (see
-    /// [`fast_scan_base`](TmsPolicy::fast_scan_base)) the placed state
-    /// is projected into [`ScanEntry`]s once, and each candidate cycle
-    /// is a handful of compares instead of a full [`probe`]
-    /// (TmsPolicy::probe) — the C2 machinery, per-cycle endpoint
-    /// splits and per-entry kind branches all drop out. Every cycle's
-    /// verdict (and recorded probe) is asserted against the per-slot
-    /// probe in debug builds.
-    fn scan_window(
+    /// Closed-form scan. When the precondition holds (see
+    /// `TmsPolicy::fast_scan_base`) the placed state is projected into
+    /// `ScanEntry`s once, and each candidate cycle is a handful of
+    /// compares instead of a full [`probe`](SlotPolicy::probe) — the C2
+    /// machinery, per-cycle endpoint splits and per-entry kind branches
+    /// all drop out. Every recorded probe is asserted against the
+    /// per-slot probe in debug builds.
+    fn scan(
         &self,
         ddg: &Ddg,
         ps: &PartialSchedule,
         v: InstId,
         cycles: &[i64],
-        mut probes: Option<&mut Vec<Probe>>,
-    ) -> Option<i64> {
-        let Some(lowest) = cycles.iter().copied().min() else {
-            self.last_scan_fast.set(false);
-            return None;
+        fit: bool,
+        probes: &mut Vec<Probe>,
+    ) -> (Option<i64>, bool) {
+        let Some(base) = self.fast_scan_base(ps, v, cycles) else {
+            return (generic_scan(self, ddg, ps, v, cycles, fit, probes), false);
         };
-        let Some(base) = self.fast_scan_base(ps, v, lowest) else {
-            self.last_scan_fast.set(false);
-            return generic_scan_window(self, ddg, ps, v, cycles, probes);
-        };
-        self.last_scan_fast.set(true);
         let ii = ps.ii() as i64;
         self.build_scan_entries(ps, v, base, ii);
         let entries = self.scan_buf.borrow();
         let cd = self.c_delay as i64;
         for &c in cycles {
-            if !ps.fits(ddg, v, c) {
+            if fit && !ps.fits(ddg, v, c) {
                 continue;
             }
             let dt = c - base;
@@ -702,76 +674,17 @@ impl SlotPolicy for TmsPolicy<'_> {
                 },
                 Err(sync) => Probe::C1Reject { sync },
             };
-            #[cfg(debug_assertions)]
-            {
-                let mut want = Probe::Opaque;
-                self.accept_probed(ddg, ps, v, c, &mut want);
-                debug_assert_eq!(
-                    probe, want,
-                    "windowed fast scan diverged from probe at cycle {c}"
-                );
-            }
-            if let Some(rec) = probes.as_deref_mut() {
-                rec.push(probe);
-            }
+            debug_assert_eq!(
+                probe,
+                self.probe(ddg, ps, v, c),
+                "closed-form scan diverged from probe at cycle {c}"
+            );
+            probes.push(probe);
             if probe.accepted() {
-                return Some(c);
+                return (Some(c), true);
             }
         }
-        None
-    }
-
-    /// Closed-form forced scan: same fast path as
-    /// [`scan_window`](SlotPolicy::scan_window) over `floor..floor+II`
-    /// without the resource check (forced placement ejects occupants
-    /// afterwards).
-    fn scan_forced(
-        &self,
-        ddg: &Ddg,
-        ps: &PartialSchedule,
-        v: InstId,
-        floor: i64,
-        mut probes: Option<&mut Vec<Probe>>,
-    ) -> Option<i64> {
-        let Some(base) = self.fast_scan_base(ps, v, floor) else {
-            self.last_scan_fast.set(false);
-            return generic_scan_forced(self, ddg, ps, v, floor, probes);
-        };
-        self.last_scan_fast.set(true);
-        let ii = ps.ii() as i64;
-        self.build_scan_entries(ps, v, base, ii);
-        let entries = self.scan_buf.borrow();
-        let cd = self.c_delay as i64;
-        for x in floor..floor + ii {
-            let dt = x - base;
-            let probe = match Self::eval_scan(&entries, dt / ii, dt % ii, cd) {
-                Ok(sync_max) => Probe::Accept {
-                    sync_max,
-                    misspec: None,
-                },
-                Err(sync) => Probe::C1Reject { sync },
-            };
-            #[cfg(debug_assertions)]
-            {
-                let mut want = Probe::Opaque;
-                self.accept_probed(ddg, ps, v, x, &mut want);
-                debug_assert_eq!(
-                    probe, want,
-                    "forced fast scan diverged from probe at cycle {x}"
-                );
-            }
-            if let Some(rec) = probes.as_deref_mut() {
-                rec.push(probe);
-            }
-            if probe.accepted() {
-                return Some(x);
-            }
-        }
-        None
-    }
-
-    fn scan_was_fast(&self) -> bool {
-        self.last_scan_fast.get()
+        (None, true)
     }
 }
 
@@ -1148,7 +1061,6 @@ pub fn schedule_tms_traced(
         trace.count("tms.place.probe.c1-reject-generic", p.probe_c1_generic);
         trace.count("tms.place.probe.c2-reject-fast", p.probe_c2_fast);
         trace.count("tms.place.probe.c2-reject-generic", p.probe_c2_generic);
-        trace.count("tms.place.probe.opaque", p.probe_opaque);
         trace.record_histogram("tms.place.eject_chain_depth", &p.eject_chain_depth);
         trace.record_histogram("tms.place.forced_per_attempt", &p.forced_per_attempt);
     }

@@ -35,17 +35,13 @@ use tms_ddg::InstId;
 
 /// The knob-independent facts behind one slot-policy verdict.
 ///
-/// Recorded by [`crate::sms::SlotPolicy::accept_probed`]; revalidated
-/// under different knobs by [`crate::sms::SlotPolicy::probe_holds`].
+/// Returned by [`crate::sms::SlotPolicy::probe`]; revalidated under
+/// different knobs by [`crate::sms::SlotPolicy::probe_holds`].
 /// Every fact is a pure function of the partial-schedule state at the
 /// moment of the probe, so two attempts that share a placement prefix
 /// share these values exactly.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Probe {
-    /// The policy reported no reusable facts (the default for policies
-    /// that don't implement probing, e.g. SMS's accept-all). Never
-    /// revalidates: replay stops here and the cold loop takes over.
-    Opaque,
     /// Condition C1 rejected the slot: a new inter-iteration register
     /// dependence had sync delay `sync`, exceeding the `C_delay`
     /// threshold. Still a rejection under knobs whose threshold the
@@ -80,9 +76,7 @@ pub enum Probe {
 }
 
 impl Probe {
-    /// Whether this probe's verdict was an acceptance. [`Probe::Opaque`]
-    /// carries no verdict and counts as not-accepted; only policies
-    /// that produce richer variants call this.
+    /// Whether this probe's verdict was an acceptance.
     #[inline]
     pub fn accepted(&self) -> bool {
         matches!(self, Probe::Accept { .. })
@@ -133,10 +127,11 @@ pub enum StepAction {
 }
 
 /// One engine step: the policy verdicts that determined it, then the
-/// action taken. The probes cover exactly the `accept` calls the cold
-/// engine made this step (resource-infeasible cycles are skipped
-/// without consulting the policy, and their feasibility is a function
-/// of the partial schedule, which replay reproduces exactly).
+/// action taken. The probes cover exactly the policy probes the cold
+/// engine's scans made this step (a windowed scan skips
+/// resource-infeasible cycles without probing, and their feasibility
+/// is a function of the partial schedule, which replay reproduces
+/// exactly).
 ///
 /// The lists are exact-size boxed slices copied out of the engine's
 /// reused buffers: a log keeps every step of the attempts it records,

@@ -15,6 +15,11 @@
 //!      waits in the listen backlog; it is never dropped)
 //! ```
 //!
+//! `serve` blocks in `accept`. The reader that answers `shutdown` sets
+//! the shutdown flag and then connects to the listener itself; the
+//! accept loop checks the flag after every accept and drops that
+//! connection unserved.
+//!
 //! Each connection gets one reader thread and one worker loop (run on
 //! the connection's own thread). The reader enqueues schedule requests
 //! into a bounded queue — full means an immediate `overloaded` reply,
@@ -45,7 +50,7 @@ use crate::proto::{
 use serde_json::Value;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -362,11 +367,10 @@ impl BoundedQueue {
             if q.closed {
                 return None;
             }
-            let (guard, _) = self
+            q = self
                 .cv
-                .wait_timeout(q, Duration::from_millis(100))
+                .wait(q)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            q = guard;
         }
         let n = q.pending.len().min(max.max(1));
         Some(q.pending.drain(..n).collect())
@@ -420,6 +424,8 @@ fn write_line(writer: &Mutex<TcpStream>, line: &str) -> bool {
 struct Shared {
     engine: Engine,
     shutdown: AtomicBool,
+    /// Where a `shutdown` connects to wake the blocking accept loop.
+    wake: SocketAddr,
     queue_cap: usize,
     batch_max: usize,
     jobs: Parallelism,
@@ -504,6 +510,9 @@ fn answer(line: &str, writer: &Mutex<TcpStream>, queue: &BoundedQueue, sh: &Shar
         Ok(Request::Shutdown { id }) => {
             write_line(writer, &reply_shutdown(id));
             sh.shutdown.store(true, Ordering::Release);
+            // Wake the accept loop. If a full backlog holds this
+            // connect up, the loop wakes on a queued connection anyway.
+            let _ = TcpStream::connect_timeout(&sh.wake, READ_TICK);
             false
         }
         Ok(Request::Schedule(req)) => {
@@ -586,6 +595,18 @@ fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
 /// clean operational error instead of a silent spin.
 const ACCEPT_RETRY_LIMIT: u32 = 64;
 
+/// Where to connect to reach a listener bound to `addr`: the address
+/// itself, or loopback on its port when it is bound to an unspecified
+/// address (every interface).
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
 /// Run the daemon until a `shutdown` request arrives. `on_ready` fires
 /// once with the bound address (which is how ephemeral-port callers —
 /// the soak, the tests — learn where to connect).
@@ -596,9 +617,6 @@ pub fn serve(
 ) -> Result<(), String> {
     let engine = Engine::new(cfg, trace);
     let listener = TcpListener::bind(&cfg.addr).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("set_nonblocking: {e}"))?;
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
@@ -607,6 +625,7 @@ pub fn serve(
     let sh = Arc::new(Shared {
         engine,
         shutdown: AtomicBool::new(false),
+        wake: wake_addr(addr),
         queue_cap: cfg.queue_cap.max(1),
         batch_max: cfg.batch_max.max(1),
         jobs: cfg.jobs,
@@ -617,6 +636,11 @@ pub fn serve(
     let mut consecutive_errors = 0u32;
     while !sh.shutdown.load(Ordering::Acquire) {
         match listener.accept() {
+            Ok(_) if sh.shutdown.load(Ordering::Acquire) => {
+                // The shutdown's wake-up, or a client that came too
+                // late: dropped unserved.
+                break;
+            }
             Ok((stream, _)) => {
                 // The injected accept fault fires *after* the kernel
                 // handed us the socket but before we service it —
@@ -639,9 +663,6 @@ pub fn serve(
                 reap_finished(&mut handles);
                 let sh = sh.clone();
                 handles.push(std::thread::spawn(move || handle_conn(stream, sh)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => {
@@ -707,6 +728,14 @@ mod tests {
         assert!(near(read, READ_TICK), "read timeout {read:?}");
         let write = stream.write_timeout().unwrap();
         assert!(near(write, WRITE_TIMEOUT), "write timeout {write:?}");
+    }
+
+    #[test]
+    fn wake_addr_maps_every_interface_to_loopback() {
+        let wake = |a: &str| wake_addr(a.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:9008"), "127.0.0.1:9008");
+        assert_eq!(wake("[::]:9008"), "[::1]:9008");
+        assert_eq!(wake("10.1.2.3:9008"), "10.1.2.3:9008");
     }
 
     #[test]

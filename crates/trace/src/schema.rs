@@ -35,7 +35,6 @@ pub const KNOWN_COUNTERS: &[&str] = &[
     "tms.place.probe.c1-reject-generic",
     "tms.place.probe.c2-reject-fast",
     "tms.place.probe.c2-reject-generic",
-    "tms.place.probe.opaque",
     "tms.place.scans",
     "tms.pruned.cost-bound",
     "tms.pruned.p-max-dup",
@@ -112,7 +111,6 @@ pub const TMS_PROFILE_COUNTERS: &[&str] = &[
     "tms.place.probe.c1-reject-generic",
     "tms.place.probe.c2-reject-fast",
     "tms.place.probe.c2-reject-generic",
-    "tms.place.probe.opaque",
     "tms.place.scans",
 ];
 

@@ -549,13 +549,6 @@ impl Trace {
         self.inner.is_some()
     }
 
-    /// Whether this handle spills events to disk.
-    pub fn is_streaming(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|s| lock_state(&s.state).spill.is_some())
-    }
-
     /// Drain any buffered events to the spill file and flush it. A
     /// no-op for disabled and non-streaming handles.
     ///
@@ -736,32 +729,18 @@ impl Trace {
     /// `cat` and records the duration into the timer `{cat}.{name}`.
     #[inline]
     pub fn span(&self, cat: &'static str, name: &str) -> SpanGuard<'_> {
-        self.span_with(cat, || name.to_string())
-    }
-
-    /// [`Trace::span`] with a lazily-built name: `name_fn` runs only
-    /// when the handle is enabled (use for `format!`-style names).
-    #[inline]
-    pub fn span_with(&self, cat: &'static str, name_fn: impl FnOnce() -> String) -> SpanGuard<'_> {
         match &self.inner {
             None => SpanGuard { active: None },
             Some(sink) => SpanGuard {
                 active: Some(SpanActive {
                     sink,
                     cat,
-                    name: name_fn(),
+                    name: name.to_string(),
                     start: Instant::now(),
                     args: Vec::new(),
                 }),
             },
         }
-    }
-
-    /// Run `f` inside a span named `name` (event + timer).
-    #[inline]
-    pub fn scope<R>(&self, cat: &'static str, name: &str, f: impl FnOnce() -> R) -> R {
-        let _g = self.span(cat, name);
-        f()
     }
 
     /// Record a completed event with explicit (virtual) timestamps —
@@ -1055,7 +1034,8 @@ mod tests {
         assert_eq!(t.metrics(), MetricsSnapshot::default());
         assert_eq!(t.metrics_json(), "{}");
         assert!(!t.is_enabled());
-        assert!(!t.is_streaming());
+        assert_eq!(t.spilled_events(), 0);
+        assert_eq!(t.spill_high_water(), 0);
         assert!(t.flush().is_ok());
         assert!(!Trace::default().is_enabled());
     }
@@ -1082,7 +1062,7 @@ mod tests {
             let mut s = t.span("tms", "attempt");
             s.arg("ii", 8);
         }
-        t.scope("tms", "order", || ());
+        drop(t.span("tms", "order"));
         assert_eq!(t.event_count(), 2);
         let json = t.chrome_json();
         assert!(json.contains("\"attempt\""));
@@ -1102,7 +1082,7 @@ mod tests {
                     for _ in 0..100 {
                         t.count("n", 1);
                     }
-                    t.scope("w", "tick", || ());
+                    drop(t.span("w", "tick"));
                 });
             }
         });
@@ -1358,7 +1338,6 @@ mod tests {
         }
         t.count("n", 100);
         t.flush().unwrap();
-        assert!(t.is_streaming());
         assert_eq!(t.event_count(), 100);
         assert!(t.spill_high_water() <= 8, "buffer exceeded its cap");
         assert_eq!(t.spilled_events(), 100);

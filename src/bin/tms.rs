@@ -370,7 +370,7 @@ struct ProfRow {
     scans: u64,
     forced: u64,
     ejected: u64,
-    probe: [(&'static str, u64); 7],
+    probe: [(&'static str, u64); 6],
     max_chain: u64,
     /// `(node id, node name, attempts, ejections)`, hottest first.
     hot: Vec<(usize, String, u64, u64)>,
@@ -513,7 +513,6 @@ fn cmd_profile(args: &[String]) -> ExitCode {
                 ("c1_reject_generic", p.probe_c1_generic),
                 ("c2_reject_fast", p.probe_c2_fast),
                 ("c2_reject_generic", p.probe_c2_generic),
-                ("opaque", p.probe_opaque),
             ],
             max_chain: p.eject_chain_depth.max,
             hot: p

@@ -7,7 +7,7 @@
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -468,6 +468,47 @@ fn non_reading_client_cannot_block_shutdown() {
         .expect("daemon thread must not panic")
         .expect("daemon must exit cleanly");
     drop(silent);
+}
+
+/// `serve` blocks in `accept`, and the reader that answers `shutdown`
+/// wakes it by connecting to the listener. A daemon bound to every
+/// interface has no address of its own to connect to, so the wake-up
+/// goes to loopback on its port, and `serve` still returns.
+#[test]
+fn serve_bound_to_every_interface_returns_after_shutdown() {
+    let (ready_tx, ready_rx) = mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel();
+    let server = std::thread::spawn(move || {
+        let cfg = DaemonConfig {
+            addr: "0.0.0.0:0".to_string(),
+            ..DaemonConfig::default()
+        };
+        let out = serve(&cfg, Trace::disabled(), move |addr| {
+            let _ = ready_tx.send(addr);
+        });
+        let _ = done_tx.send(());
+        out
+    });
+    let addr: SocketAddr = ready_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("daemon ready");
+    assert!(addr.ip().is_unspecified(), "bound to {addr}");
+    let stream = TcpStream::connect((Ipv4Addr::LOCALHOST, addr.port())).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    (&stream)
+        .write_all(b"{\"id\":1,\"verb\":\"shutdown\"}\n")
+        .unwrap();
+    let v = read_reply(&mut BufReader::new(&stream));
+    assert_eq!(v.get("shutdown").and_then(Value::as_bool), Some(true));
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("serve did not return within 10 s of an acknowledged shutdown");
+    server
+        .join()
+        .expect("daemon thread must not panic")
+        .expect("daemon must exit cleanly");
 }
 
 /// A request line that arrives in pieces more than one read-timeout

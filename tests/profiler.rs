@@ -52,7 +52,6 @@ fn attribution(p: &PlaceProfile) -> impl PartialEq + std::fmt::Debug {
             p.probe_c1_generic,
             p.probe_c2_fast,
             p.probe_c2_generic,
-            p.probe_opaque,
         ),
         (
             hist_key(&p.eject_chain_depth),

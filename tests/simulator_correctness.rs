@@ -137,3 +137,58 @@ fn deterministic_across_runs() {
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.memory_image, b.memory_image);
 }
+
+/// `tms codegen` emits what the simulator runs: the prologue, kernel
+/// passes and epilogue of `PipelinedLoop` execute exactly the
+/// `(instruction, iteration)` instances that the simulator's thread
+/// program executes over its threads, with the same stage count, for
+/// every TMS schedule of the kernels, Livermore, Figure 1 and a fuzzed
+/// population at 2, 4 and 8 cores.
+#[test]
+fn codegen_expands_to_the_instances_the_simulator_runs() {
+    use tms_core::PipelinedLoop;
+    use tms_sim::program::ThreadProgram;
+
+    let machine = MachineModel::icpp2008();
+    let costs = ArchParams::icpp2008().costs;
+    let mut loops = vec![figure1()];
+    loops.extend(kernels::all_kernels());
+    loops.extend(tms_workloads::livermore_suite());
+    loops.extend(tms_verify::fuzz::fuzz_ddgs(60, 0xC0DE));
+    for ncore in [2, 4, 8] {
+        let model = CostModel::new(costs, ncore);
+        for ddg in &loops {
+            let tms = schedule_tms(ddg, &machine, &model, &TmsConfig::default())
+                .unwrap_or_else(|e| panic!("{} at {ncore} cores: {e}", ddg.name()));
+            let code = PipelinedLoop::generate(ddg, &tms.schedule);
+            let program =
+                ThreadProgram::lower(ddg, &tms.schedule, &CommPlan::build(ddg, &tms.schedule));
+            assert_eq!(
+                code.stages,
+                program.stages,
+                "{} at {ncore} cores",
+                ddg.name()
+            );
+            let stages = u64::from(code.stages);
+            for n_iter in [stages, stages + 7] {
+                let mut emitted = code.expand(n_iter);
+                let mut run: Vec<(InstId, u64)> = (0..program.total_threads(n_iter))
+                    .flat_map(|k| {
+                        let program = &program;
+                        program.ops.iter().enumerate().filter_map(move |(i, op)| {
+                            Some((op.inst, program.orig_iter(i, k, n_iter)?))
+                        })
+                    })
+                    .collect();
+                emitted.sort_unstable();
+                run.sort_unstable();
+                assert_eq!(
+                    emitted,
+                    run,
+                    "{} at {ncore} cores, {n_iter} iterations",
+                    ddg.name()
+                );
+            }
+        }
+    }
+}
