@@ -1,7 +1,6 @@
 //! Shared experiment configuration.
 
 use serde::{Deserialize, Serialize};
-use tms_core::par::Parallelism;
 use tms_machine::{ArchParams, MachineModel};
 
 /// Knobs shared by every experiment.
@@ -15,15 +14,6 @@ pub struct ExperimentConfig {
     pub ncore: u32,
     /// Model the cache hierarchy during simulation.
     pub model_caches: bool,
-    /// Worker threads for per-loop fan-outs (1 = serial, 0 = all
-    /// available cores). Results are independent of this knob — loops
-    /// are scheduled/simulated independently and folded in input order.
-    #[serde(default = "default_jobs")]
-    pub jobs: usize,
-}
-
-fn default_jobs() -> usize {
-    1
 }
 
 impl Default for ExperimentConfig {
@@ -33,7 +23,6 @@ impl Default for ExperimentConfig {
             n_iter: 400,
             ncore: 4,
             model_caches: true,
-            jobs: default_jobs(),
         }
     }
 }
@@ -45,11 +34,6 @@ impl ExperimentConfig {
             n_iter: 64,
             ..Self::default()
         }
-    }
-
-    /// The worker-pool width for per-loop fan-outs.
-    pub fn parallelism(&self) -> Parallelism {
-        Parallelism::from_jobs(self.jobs)
     }
 
     /// The per-core machine model (Table 1).

@@ -10,7 +10,6 @@ use crate::config::ExperimentConfig;
 use crate::report::{pct, render_table};
 use crate::runner::{program_speedup_pct, schedule_both, simulate, speedup_pct};
 use serde::{Deserialize, Serialize};
-use tms_core::par::par_map;
 use tms_workloads::specfp_profiles;
 
 /// One benchmark's bars in Figure 4.
@@ -33,21 +32,12 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Fig4Row> {
     specfp_profiles()
         .iter()
         .map(|p| {
-            let loops = p.generate(cfg.seed);
-            // Per-loop schedule+simulate fans across the worker pool;
-            // the cycle totals are summed in input order.
-            let cycles = par_map(cfg.parallelism(), &loops, |_, ddg| {
-                let r = schedule_both(ddg, cfg);
-                (
-                    simulate(ddg, &r.sms, cfg).total_cycles,
-                    simulate(ddg, &r.tms, cfg).total_cycles,
-                )
-            });
             let mut sms_total = 0u64;
             let mut tms_total = 0u64;
-            for &(s, t) in &cycles {
-                sms_total += s;
-                tms_total += t;
+            for ddg in &p.generate(cfg.seed) {
+                let r = schedule_both(ddg, cfg);
+                sms_total += simulate(ddg, &r.sms, cfg).total_cycles;
+                tms_total += simulate(ddg, &r.tms, cfg).total_cycles;
             }
             let loop_sp = speedup_pct(sms_total, tms_total);
             Fig4Row {

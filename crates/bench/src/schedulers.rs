@@ -1,7 +1,7 @@
 //! IMS vs SMS vs TMS — substantiating the paper's scheduler choice.
 //!
 //! §1 adopts SMS "since SMS finds the best schedules in general
-//! (Codina et al. [3])" and stresses that TMS "is not tied to any
+//! (Codina et al. \[3\])" and stresses that TMS "is not tied to any
 //! existing modulo scheduling algorithm". This experiment runs all
 //! three schedulers over the DOACROSS suite plus a population sample
 //! and reports the traditional single-core metrics (II, MaxLive)

@@ -10,7 +10,6 @@ use crate::config::ExperimentConfig;
 use crate::report::{f1, render_table};
 use crate::runner::schedule_both;
 use serde::{Deserialize, Serialize};
-use tms_core::par::par_map;
 use tms_workloads::specfp_profiles;
 
 /// One benchmark's row of Table 2.
@@ -60,11 +59,8 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table2Row> {
                 tms_c_delay: 0.0,
                 tms_fallbacks: 0,
             };
-            // Loops are independent: fan them across the worker pool
-            // and fold the runs in input order (identical at any
-            // `jobs`).
-            let runs = par_map(cfg.parallelism(), &loops, |_, ddg| schedule_both(ddg, cfg));
-            for (ddg, r) in loops.iter().zip(&runs) {
+            for ddg in &loops {
+                let r = schedule_both(ddg, cfg);
                 row.avg_inst += ddg.num_insts() as f64;
                 row.avg_mii += r.sms_metrics.mii as f64;
                 row.sms_ii += r.sms_metrics.ii as f64;

@@ -1,5 +1,5 @@
 //! Iterative Modulo Scheduling (Rau, MICRO-27) — the paper's reference
-//! [15] and the classic alternative to SMS.
+//! \[15\] and the classic alternative to SMS.
 //!
 //! IMS differs from SMS in two ways: operations are prioritised by
 //! *height* alone (no swing ordering, no lifetime minimisation), and
@@ -7,7 +7,7 @@
 //! operation that finds no free slot takes `max(early start, previous
 //! slot + 1)` and evicts whatever blocks it, with a budget bounding the
 //! churn. The paper adopts SMS instead because it "finds the best
-//! schedules in general" (Codina et al. [3]); this implementation lets
+//! schedules in general" (Codina et al. \[3\]); this implementation lets
 //! the benches substantiate that choice: IMS matches SMS on II but
 //! tends to produce longer lifetimes (larger MaxLive).
 

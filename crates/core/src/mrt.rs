@@ -11,39 +11,7 @@
 use tms_ddg::OpClass;
 use tms_machine::{MachineModel, ResourceClass};
 
-/// Bit `r % 64` of word `r / 64`.
-#[inline]
-fn bit_at(words: &[u64], r: usize) -> bool {
-    words[r >> 6] >> (r & 63) & 1 != 0
-}
-
-#[inline]
-fn set_bit(words: &mut [u64], r: usize) {
-    words[r >> 6] |= 1u64 << (r & 63);
-}
-
-#[inline]
-fn clear_bit(words: &mut [u64], r: usize) {
-    words[r >> 6] &= !(1u64 << (r & 63));
-}
-
-/// The low `n` bits set, for `n ≤ 64`.
-#[inline]
-fn low_mask(n: u32) -> u64 {
-    if n >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
-    }
-}
-
 /// Occupancy of the `II` modulo rows of a partial schedule.
-///
-/// Row availability is mirrored into per-class `u64` bitsets (bit set ⇔
-/// the row can still take one more op of that class / one more issue
-/// slot), so the hot [`Mrt::can_place`] probe is a couple of word tests
-/// with no allocation; the exact `used` counters remain authoritative
-/// for placement, removal and diagnostics.
 #[derive(Debug, Clone)]
 pub struct Mrt {
     ii: u32,
@@ -52,13 +20,6 @@ pub struct Mrt {
     used: Vec<u32>,
     /// Operations issued in each row (issue-width accounting).
     row_total: Vec<u32>,
-    /// Words per bitset row map: `ceil(ii / 64)`.
-    nwords: usize,
-    /// `free_unit[class * nwords ..][r]` — row `r` has a free unit of
-    /// `class` (`used < units`).
-    free_unit: Vec<u64>,
-    /// Row `r` has issue bandwidth left (`row_total < issue_width`).
-    free_issue: Vec<u64>,
 }
 
 impl Mrt {
@@ -69,17 +30,9 @@ impl Mrt {
             machine: machine.clone(),
             used: Vec::new(),
             row_total: Vec::new(),
-            nwords: 0,
-            free_unit: Vec::new(),
-            free_issue: Vec::new(),
         };
         mrt.reset(ii, machine);
         mrt
-    }
-
-    /// The II this table was built for.
-    pub fn ii(&self) -> u32 {
-        self.ii
     }
 
     /// Clear the table and retarget it to a new `II`, reusing the
@@ -95,24 +48,6 @@ impl Mrt {
         self.used.resize(ii as usize * ResourceClass::ALL.len(), 0);
         self.row_total.clear();
         self.row_total.resize(ii as usize, 0);
-        self.nwords = (ii as usize).div_ceil(64);
-        self.free_unit.clear();
-        self.free_unit
-            .resize(ResourceClass::ALL.len() * self.nwords, 0);
-        self.free_issue.clear();
-        self.free_issue.resize(self.nwords, 0);
-        // An empty row is available wherever capacity exists at all.
-        for w in 0..self.nwords {
-            let live = low_mask((ii as usize - w * 64).min(64) as u32);
-            if self.machine.issue_width > 0 {
-                self.free_issue[w] = live;
-            }
-            for class in ResourceClass::ALL {
-                if self.machine.units_of(class) > 0 {
-                    self.free_unit[class.index() * self.nwords + w] = live;
-                }
-            }
-        }
     }
 
     /// Modulo row of an absolute issue cycle (cycles may be negative
@@ -122,12 +57,19 @@ impl Mrt {
         cycle.rem_euclid(self.ii as i64) as usize
     }
 
-    /// Rows an op of `class` occupies when issued at `cycle`: the issue
-    /// row plus `occupancy − 1` successors (modulo II), clamped so a
-    /// slow unit at small II simply occupies every row once.
+    /// The `used` cells an op of `class` issued in row `first` keeps
+    /// busy: the issue row plus the next `occupancy − 1` rows, stepping
+    /// with a wrap at `II`. The span is clamped to `II`, so a slow unit
+    /// at small II occupies every row once.
     #[inline]
-    fn occupancy_span(&self, class: ResourceClass) -> u32 {
-        self.machine.occupancy_of(class).min(self.ii)
+    fn cells(&self, class: ResourceClass, first: usize) -> impl Iterator<Item = usize> {
+        let ii = self.ii as usize;
+        let span = self.machine.occupancy_of(class).min(self.ii) as usize;
+        let col = class.index();
+        (first..first + span).map(move |r| {
+            let row = if r >= ii { r - ii } else { r };
+            row * ResourceClass::ALL.len() + col
+        })
     }
 
     /// Whether an operation of class `op` can issue at `cycle` without
@@ -136,31 +78,10 @@ impl Mrt {
     #[inline]
     pub fn can_place(&self, op: OpClass, cycle: i64) -> bool {
         let class = ResourceClass::for_op(op);
-        let r = self.row_of(cycle);
-        if !bit_at(&self.free_issue, r) {
-            return false;
-        }
-        let base = class.index() * self.nwords;
-        let unit = &self.free_unit[base..base + self.nwords];
-        let occ = self.occupancy_span(class);
-        if occ == 1 {
-            // Fully pipelined (the common case): one bit test.
-            return bit_at(unit, r);
-        }
-        if self.ii <= 64 {
-            // The occupancy span as a mask rotated to start at row r,
-            // within the live low `ii` bits: free iff every spanned row
-            // is free, i.e. the mask survives ANDing with the word.
-            let span = low_mask(occ);
-            let rot = r as u32;
-            let wrapped = if rot == 0 {
-                span
-            } else {
-                (span << rot | span >> (self.ii - rot)) & low_mask(self.ii)
-            };
-            return unit[0] & wrapped == wrapped;
-        }
-        (0..occ as i64).all(|k| bit_at(unit, self.row_of(cycle + k)))
+        let units = self.machine.units_of(class);
+        let row = self.row_of(cycle);
+        self.row_total[row] < self.machine.issue_width
+            && self.cells(class, row).all(|i| self.used[i] < units)
     }
 
     /// Reserve a slot. Callers must check [`Mrt::can_place`] first —
@@ -168,45 +89,24 @@ impl Mrt {
     /// scheduling engines already performed.
     pub fn place(&mut self, op: OpClass, cycle: i64) {
         debug_assert!(self.can_place(op, cycle), "MRT slot oversubscribed");
-        let class = ResourceClass::for_op(op);
-        let units = self.machine.units_of(class);
-        let base = class.index() * self.nwords;
-        for k in 0..self.occupancy_span(class) as i64 {
-            let row = self.row_of(cycle + k);
-            let cell = &mut self.used[row * ResourceClass::ALL.len() + class.index()];
-            *cell += 1;
-            if *cell >= units {
-                clear_bit(&mut self.free_unit[base..base + self.nwords], row);
-            }
+        let row = self.row_of(cycle);
+        for i in self.cells(ResourceClass::for_op(op), row) {
+            self.used[i] += 1;
         }
-        let issue_row = self.row_of(cycle);
-        self.row_total[issue_row] += 1;
-        if self.row_total[issue_row] >= self.machine.issue_width {
-            clear_bit(&mut self.free_issue, issue_row);
-        }
+        self.row_total[row] += 1;
     }
 
     /// Release a previously reserved slot.
     pub fn remove(&mut self, op: OpClass, cycle: i64) {
-        let class = ResourceClass::for_op(op);
-        let units = self.machine.units_of(class);
-        let base = class.index() * self.nwords;
-        for k in 0..self.occupancy_span(class) as i64 {
-            let row = self.row_of(cycle + k);
-            let cell = &mut self.used[row * ResourceClass::ALL.len() + class.index()];
+        let row = self.row_of(cycle);
+        for i in self.cells(ResourceClass::for_op(op), row) {
+            let cell = &mut self.used[i];
             assert!(*cell > 0, "removing empty unit slot");
             *cell -= 1;
-            if *cell < units {
-                set_bit(&mut self.free_unit[base..base + self.nwords], row);
-            }
         }
-        let issue_row = self.row_of(cycle);
-        let total = &mut self.row_total[issue_row];
+        let total = &mut self.row_total[row];
         assert!(*total > 0, "removing empty issue slot");
         *total -= 1;
-        if *total < self.machine.issue_width {
-            set_bit(&mut self.free_issue, issue_row);
-        }
     }
 
     /// Operations currently issued in `row`.
@@ -301,57 +201,76 @@ mod tests {
         assert!(m.can_place(OpClass::FpMul, 2));
     }
 
-    /// A counter-backed reference model: the bitset fast paths must
-    /// agree with first-principles `used < units` / `row_total <
-    /// issue_width` checks under an arbitrary place/remove history.
-    fn reference_can_place(m: &Mrt, op: OpClass, cycle: i64) -> bool {
+    /// First-principles reference: recount the occupancy the probe
+    /// needs from the placed `(op, cycle)` list, with a `rem_euclid`
+    /// per occupied row and no counters.
+    fn recount_can_place(
+        machine: &MachineModel,
+        ii: u32,
+        placed: &[(OpClass, i64)],
+        op: OpClass,
+        cycle: i64,
+    ) -> bool {
+        let row = |c: i64| c.rem_euclid(ii as i64);
         let class = ResourceClass::for_op(op);
-        if m.row_occupancy(m.row_of(cycle)) >= m.machine.issue_width {
+        let span = machine.occupancy_of(class).min(ii) as i64;
+        let issued = placed.iter().filter(|&&(_, c)| row(c) == row(cycle));
+        if issued.count() as u32 >= machine.issue_width {
             return false;
         }
-        let occ = m.machine.occupancy_of(class).min(m.ii()) as i64;
-        (0..occ).all(|k| m.used_in_row(m.row_of(cycle + k), class) < m.machine.units_of(class))
+        (0..span).all(|k| {
+            let r = row(cycle + k);
+            let busy = placed
+                .iter()
+                .filter(|&&(o, c)| {
+                    ResourceClass::for_op(o) == class && (0..span).any(|j| row(c + j) == r)
+                })
+                .count();
+            (busy as u32) < machine.units_of(class)
+        })
     }
 
     #[test]
-    fn bitset_probe_matches_counter_reference() {
-        // Mixed pipelined + non-pipelined classes, IIs straddling the
-        // single-word boundary, deterministic pseudo-random history.
-        for ii in [1u32, 3, 17, 63, 64, 65, 130] {
-            let mut m = Mrt::new(ii, &MachineModel::figure1_example());
-            let mut placed: Vec<(OpClass, i64)> = Vec::new();
-            let mut state = 0x2008_u64;
-            for step in 0..400 {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let op = match state >> 60 & 3 {
-                    0 => OpClass::FpMul,
-                    1 => OpClass::IntAlu,
-                    2 => OpClass::Load,
-                    _ => OpClass::FpAdd,
-                };
-                let cycle = (state >> 8 & 0x1ff) as i64 - 200;
-                assert_eq!(
-                    m.can_place(op, cycle),
-                    reference_can_place(&m, op, cycle),
-                    "ii={ii} step={step} op={op:?} cycle={cycle}"
-                );
-                if m.can_place(op, cycle) && state & 1 == 0 {
-                    m.place(op, cycle);
-                    placed.push((op, cycle));
-                } else if !placed.is_empty() && state & 2 == 0 {
-                    let (op, cycle) = placed.swap_remove((state >> 16) as usize % placed.len());
-                    m.remove(op, cycle);
+    fn counter_probe_matches_recount_reference() {
+        // Pipelined and non-pipelined classes on both machines, IIs
+        // below, at and past the occupancy span and the row-walk wrap,
+        // deterministic pseudo-random place/remove history.
+        for machine in [MachineModel::icpp2008(), MachineModel::figure1_example()] {
+            for ii in [1u32, 3, 17, 63, 64, 65, 130] {
+                let mut m = Mrt::new(ii, &machine);
+                let mut placed: Vec<(OpClass, i64)> = Vec::new();
+                let mut state = 0x2008_u64;
+                for step in 0..400 {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let op = match state >> 60 & 3 {
+                        0 => OpClass::FpMul,
+                        1 => OpClass::IntAlu,
+                        2 => OpClass::Load,
+                        _ => OpClass::FpAdd,
+                    };
+                    let cycle = (state >> 8 & 0x1ff) as i64 - 200;
+                    let fits = m.can_place(op, cycle);
+                    assert_eq!(
+                        fits,
+                        recount_can_place(&machine, ii, &placed, op, cycle),
+                        "{machine:?} ii={ii} step={step} op={op:?} cycle={cycle}"
+                    );
+                    if fits && state & 1 == 0 {
+                        m.place(op, cycle);
+                        placed.push((op, cycle));
+                    } else if !placed.is_empty() && state & 2 == 0 {
+                        let (op, cycle) = placed.swap_remove((state >> 16) as usize % placed.len());
+                        m.remove(op, cycle);
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn wide_ii_spans_multiple_words() {
-        // II = 100 needs two bitset words; saturate a row far into the
-        // second word and check the modulo aliases.
+    fn wide_ii_aliases_modulo_rows() {
         let mut m = Mrt::new(100, &MachineModel::icpp2008());
         assert!(m.can_place(OpClass::FpMul, 90));
         m.place(OpClass::FpMul, 90);
@@ -363,17 +282,18 @@ mod tests {
     }
 
     #[test]
-    fn non_pipelined_occupancy_crosses_word_boundary() {
-        // Occupancy 4 issued at row 62 of II=66 spans rows 62..65 —
-        // straddling the u64 boundary — and wraps at row 65 of II=66.
+    fn non_pipelined_occupancy_wraps_past_the_last_row() {
+        // Occupancy 4 issued at row 64 of II=66 covers rows 64, 65, 0
+        // and 1.
         let mut m = Mrt::new(66, &MachineModel::figure1_example());
-        m.place(OpClass::FpMul, 62);
-        for row in [62, 63, 64, 65] {
-            assert!(!m.can_place(OpClass::FpMul, row), "row {row} busy");
+        m.place(OpClass::FpMul, 64);
+        for row in [61, 62, 63, 64, 65, 0, 1] {
+            assert!(!m.can_place(OpClass::FpMul, row), "row {row} overlaps");
         }
         assert!(m.can_place(OpClass::FpMul, 2));
+        assert!(m.can_place(OpClass::FpMul, 60));
         // Issue width is only consumed at the issue row.
-        assert_eq!(m.row_occupancy(64), 0);
+        assert_eq!(m.row_occupancy(0), 0);
     }
 
     #[test]

@@ -79,9 +79,9 @@ pub struct PlaceProfile {
     pub probe_c1_fast: u64,
     /// C1 rejections from the generic scan.
     pub probe_c1_generic: u64,
-    /// C2 (misspeculation) rejections from the fast-path scan.
-    pub probe_c2_fast: u64,
-    /// C2 rejections from the generic scan.
+    /// C2 (misspeculation) rejections, all from the generic scan: the
+    /// fast path runs only for nodes with no memory-flow edge, where
+    /// C2 cannot fire.
     pub probe_c2_generic: u64,
     /// Nodes ejected per forced placement (chain depth).
     pub eject_chain_depth: Histogram,
@@ -180,11 +180,8 @@ impl PlaceProfile {
                     }
                 }
                 Probe::C2Reject { .. } => {
-                    if fast {
-                        &mut self.probe_c2_fast
-                    } else {
-                        &mut self.probe_c2_generic
-                    }
+                    debug_assert!(!fast, "a fast-path scan returned a C2 verdict");
+                    &mut self.probe_c2_generic
                 }
             };
             *slot += 1;
@@ -212,7 +209,6 @@ impl PlaceProfile {
         self.probe_accept_generic += other.probe_accept_generic;
         self.probe_c1_fast += other.probe_c1_fast;
         self.probe_c1_generic += other.probe_c1_generic;
-        self.probe_c2_fast += other.probe_c2_fast;
         self.probe_c2_generic += other.probe_c2_generic;
         self.eject_chain_depth.merge(&other.eject_chain_depth);
         self.forced_per_attempt.merge(&other.forced_per_attempt);

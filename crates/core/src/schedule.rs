@@ -70,40 +70,11 @@ impl PartialSchedule {
         self.times[n.index()].is_some()
     }
 
-    /// Number of placed instructions.
-    pub fn num_placed(&self) -> usize {
-        self.placed
-    }
-
     /// Earliest placed issue cycle — the origin the final schedule will
     /// be normalised to. `None` while nothing is placed.
     #[inline]
     pub fn min_time(&self) -> Option<i64> {
         self.min_time
-    }
-
-    /// The reservation table.
-    pub fn mrt(&self) -> &Mrt {
-        &self.mrt
-    }
-
-    /// Modulo row of a placed instruction.
-    pub fn row(&self, n: InstId) -> Option<i64> {
-        self.time(n).map(|_| self.rows[n.index()] as i64)
-    }
-
-    /// Provisional stage of a placed instruction (floor division by II;
-    /// final stages are recomputed after normalisation).
-    pub fn stage(&self, n: InstId) -> Option<i64> {
-        self.time(n).map(|t| t.div_euclid(self.ii as i64))
-    }
-
-    /// Provisional kernel distance of an edge whose endpoints are both
-    /// placed: `d_ker(u,v) = d(u,v) + s_v − s_u` (Definition 1).
-    pub fn d_ker(&self, e: &Edge) -> Option<i64> {
-        let su = self.stage(e.src)?;
-        let sv = self.stage(e.dst)?;
-        Some(e.distance as i64 + sv - su)
     }
 
     /// Place `n` (an op of class taken from `ddg`) at `cycle`.
@@ -222,15 +193,6 @@ impl Schedule {
         self.stage_count
     }
 
-    /// Total length of the flat (single-iteration) schedule: last issue
-    /// cycle plus the issuing instruction's latency.
-    pub fn flat_length(&self, ddg: &Ddg) -> i64 {
-        ddg.inst_ids()
-            .map(|n| self.time(n) + ddg.inst(n).latency as i64)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Kernel distance of an edge (Definition 1):
     /// `d_ker(u,v) = d(u,v) + s_v − s_u`.
     pub fn d_ker(&self, e: &Edge) -> i64 {
@@ -302,7 +264,6 @@ mod tests {
         let mut ps = PartialSchedule::new(&g, 2, &m);
         ps.place(&g, InstId(1), 5);
         ps.place(&g, InstId(0), 2);
-        assert_eq!(ps.num_placed(), 2);
         let s = ps.finish(&g);
         assert_eq!(s.time(InstId(0)), 0);
         assert_eq!(s.time(InstId(1)), 3);
@@ -367,13 +328,6 @@ mod tests {
         assert!(!s.check_resources(&g, &m));
         let s = Schedule::from_times(&g, 2, vec![0, 5]);
         assert!(s.check_resources(&g, &m));
-    }
-
-    #[test]
-    fn flat_length_includes_latency() {
-        let g = simple();
-        let s = Schedule::from_times(&g, 2, vec![0, 3]);
-        assert_eq!(s.flat_length(&g), 5);
     }
 
     #[test]

@@ -1059,7 +1059,6 @@ pub fn schedule_tms_traced(
         trace.count("tms.place.probe.accept-generic", p.probe_accept_generic);
         trace.count("tms.place.probe.c1-reject-fast", p.probe_c1_fast);
         trace.count("tms.place.probe.c1-reject-generic", p.probe_c1_generic);
-        trace.count("tms.place.probe.c2-reject-fast", p.probe_c2_fast);
         trace.count("tms.place.probe.c2-reject-generic", p.probe_c2_generic);
         trace.record_histogram("tms.place.eject_chain_depth", &p.eject_chain_depth);
         trace.record_histogram("tms.place.forced_per_attempt", &p.forced_per_attempt);

@@ -42,28 +42,6 @@ use crate::schedule::PartialSchedule;
 use tms_ddg::analysis::TimeFrames;
 use tms_ddg::{Ddg, InstId};
 
-/// The candidate cycles for one node, in the order SMS tries them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Window {
-    /// Candidate issue cycles, first-preference first.
-    pub cycles: Vec<i64>,
-    /// Which neighbour sides were already placed (for diagnostics).
-    pub kind: WindowKind,
-}
-
-/// How a window was derived.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WindowKind {
-    /// Only predecessors placed — scan upward from the early start.
-    PredsOnly,
-    /// Only successors placed — scan downward from the late start.
-    SuccsOnly,
-    /// Both sides placed — bounded window scanned upward.
-    Both,
-    /// Nothing placed — seeded from ASAP, scanned upward.
-    Free,
-}
-
 /// One dependence as seen from one of its endpoints: the node at the
 /// other end and the edge's weight components. The in-list of `w` holds
 /// its predecessors, the out-list its successors.
@@ -81,8 +59,7 @@ struct Adj {
 ///
 /// [`WindowScratch::prepare`] must run once per DDG before
 /// [`window_into`] / [`force_floor_with`] (the engine does this at the
-/// top of each attempt); the convenience wrapper [`window_of`]
-/// prepares its own scratch.
+/// top of each attempt).
 #[derive(Debug, Default, Clone)]
 pub struct WindowScratch {
     /// Longest-path value per node; only the entries of the current
@@ -397,28 +374,20 @@ pub fn force_floor_with(
     lower_bound_with(ddg, ps, v, scratch).unwrap_or(frames.asap[v.index()])
 }
 
-/// Compute the scheduling window of `v` against the partial schedule.
+/// Compute the scheduling window of `v` against the partial schedule
+/// into `scratch.cycles` (replacing its previous contents), in the
+/// order SMS tries them:
 ///
 /// * early start `ES` — the transitive lower bound (direct form:
-///   `max over placed preds u of t(u) + delay − II·d`)
+///   `max over placed preds u of t(u) + delay − II·d`);
 /// * late start `LS` — the transitive upper bound (direct form:
-///   `min over placed succs w of t(w) − delay + II·d`)
+///   `min over placed succs w of t(w) − delay + II·d`).
 ///
-/// Windows never exceed `II` candidates: any legal modulo row appears
-/// exactly once among `II` consecutive cycles.
-pub fn window_of(ddg: &Ddg, ps: &PartialSchedule, frames: &TimeFrames, v: InstId) -> Window {
-    let mut scratch = WindowScratch::default();
-    scratch.prepare(ddg);
-    let kind = window_into(ddg, ps, frames, v, &mut scratch);
-    Window {
-        cycles: scratch.cycles,
-        kind,
-    }
-}
-
-/// [`window_of`] into reusable buffers: the candidate cycles land in
-/// `scratch.cycles` (replacing its previous contents) and the derived
-/// [`WindowKind`] is returned. Requires [`WindowScratch::prepare`] for
+/// With only `ES` known the window scans upward from it, with only
+/// `LS` downward from it, with both upward from `ES` to at most `LS`,
+/// and with neither upward from `v`'s ASAP frame. Windows never exceed
+/// `II` candidates: any legal modulo row appears exactly once among
+/// `II` consecutive cycles. Requires [`WindowScratch::prepare`] for
 /// this DDG.
 pub fn window_into(
     ddg: &Ddg,
@@ -426,29 +395,19 @@ pub fn window_into(
     frames: &TimeFrames,
     v: InstId,
     scratch: &mut WindowScratch,
-) -> WindowKind {
+) {
     let ii = ps.ii() as i64;
     let early = lower_bound_with(ddg, ps, v, scratch);
     let late = upper_bound_with(ddg, ps, v, scratch);
 
     scratch.cycles.clear();
     match (early, late) {
-        (Some(es), None) => {
-            scratch.cycles.extend(es..es + ii);
-            WindowKind::PredsOnly
-        }
-        (None, Some(ls)) => {
-            scratch.cycles.extend((ls - ii + 1..=ls).rev());
-            WindowKind::SuccsOnly
-        }
-        (Some(es), Some(ls)) => {
-            scratch.cycles.extend(es..=ls.min(es + ii - 1));
-            WindowKind::Both
-        }
+        (Some(es), None) => scratch.cycles.extend(es..es + ii),
+        (None, Some(ls)) => scratch.cycles.extend((ls - ii + 1..=ls).rev()),
+        (Some(es), Some(ls)) => scratch.cycles.extend(es..=ls.min(es + ii - 1)),
         (None, None) => {
             let asap = frames.asap[v.index()];
             scratch.cycles.extend(asap..asap + ii);
-            WindowKind::Free
         }
     }
 }
@@ -460,6 +419,14 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use tms_ddg::{DdgBuilder, OpClass};
     use tms_machine::MachineModel;
+
+    /// The window of `v`, from a freshly prepared scratch.
+    fn window(g: &Ddg, ps: &PartialSchedule, frames: &TimeFrames, v: InstId) -> Vec<i64> {
+        let mut scratch = WindowScratch::default();
+        scratch.prepare(g);
+        window_into(g, ps, frames, v, &mut scratch);
+        scratch.cycles
+    }
 
     /// Reference bound: naive Bellman–Ford over every edge of the loop
     /// until stable, from the placed nodes' times through unplaced
@@ -522,10 +489,9 @@ mod tests {
             let mut ps = PartialSchedule::new(g, 4, &m);
             ps.place(g, a, 0);
             shared.prepare(g);
-            let kind = window_into(g, &ps, &frames, c, &mut shared);
-            let fresh = window_of(g, &ps, &frames, c);
-            assert_eq!(kind, fresh.kind, "{}: kind drifted", g.name());
-            assert_eq!(shared.cycles, fresh.cycles, "{}: cycles drifted", g.name());
+            window_into(g, &ps, &frames, c, &mut shared);
+            let fresh = window(g, &ps, &frames, c);
+            assert_eq!(shared.cycles, fresh, "{}: cycles drifted", g.name());
         }
         // Same graph twice in a row: the memo hit must be inert.
         shared.prepare(&g1);
@@ -543,9 +509,8 @@ mod tests {
         let frames = TimeFrames::compute(&g, 4).unwrap();
         let mut ps = PartialSchedule::new(&g, 4, &m);
         ps.place(&g, a, 0);
-        let w = window_of(&g, &ps, &frames, c);
-        assert_eq!(w.kind, WindowKind::PredsOnly);
-        assert_eq!(w.cycles, vec![4, 5, 6, 7]);
+        let w = window(&g, &ps, &frames, c);
+        assert_eq!(w, vec![4, 5, 6, 7]);
     }
 
     #[test]
@@ -563,9 +528,8 @@ mod tests {
         let frames = TimeFrames::compute(&g, 8).unwrap();
         let mut ps = PartialSchedule::new(&g, 8, &m);
         ps.place(&g, n0, 0);
-        let w = window_of(&g, &ps, &frames, n6);
-        assert_eq!(w.kind, WindowKind::SuccsOnly);
-        assert_eq!(w.cycles, vec![7, 6, 5, 4, 3, 2, 1, 0]);
+        let w = window(&g, &ps, &frames, n6);
+        assert_eq!(w, vec![7, 6, 5, 4, 3, 2, 1, 0]);
     }
 
     #[test]
@@ -582,9 +546,8 @@ mod tests {
         let mut ps = PartialSchedule::new(&g, 4, &m);
         ps.place(&g, a, 0);
         ps.place(&g, z, 3);
-        let w = window_of(&g, &ps, &frames, v);
-        assert_eq!(w.kind, WindowKind::Both);
-        assert_eq!(w.cycles, vec![1, 2]);
+        let w = window(&g, &ps, &frames, v);
+        assert_eq!(w, vec![1, 2]);
     }
 
     #[test]
@@ -601,8 +564,8 @@ mod tests {
         let mut ps = PartialSchedule::new(&g, 4, &m);
         ps.place(&g, a, 0);
         ps.place(&g, z, 3); // v needs >= 12 but <= 2 — impossible
-        let w = window_of(&g, &ps, &frames, v);
-        assert!(w.cycles.is_empty());
+        let w = window(&g, &ps, &frames, v);
+        assert!(w.is_empty());
     }
 
     #[test]
@@ -615,9 +578,8 @@ mod tests {
         let m = MachineModel::icpp2008();
         let frames = TimeFrames::compute(&g, 2).unwrap();
         let ps = PartialSchedule::new(&g, 2, &m);
-        let w = window_of(&g, &ps, &frames, c);
-        assert_eq!(w.kind, WindowKind::Free);
-        assert_eq!(w.cycles, vec![1, 2]);
+        let w = window(&g, &ps, &frames, c);
+        assert_eq!(w, vec![1, 2]);
     }
 
     #[test]
@@ -629,9 +591,8 @@ mod tests {
         let m = MachineModel::icpp2008();
         let frames = TimeFrames::compute(&g, 4).unwrap();
         let ps = PartialSchedule::new(&g, 4, &m);
-        let w = window_of(&g, &ps, &frames, a);
-        assert_eq!(w.kind, WindowKind::Free);
-        assert_eq!(w.cycles.len(), 4);
+        let w = window(&g, &ps, &frames, a);
+        assert_eq!(w, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -658,9 +619,8 @@ mod tests {
         let mut ps = PartialSchedule::new(&g, 8, &m);
         ps.place(&g, n5, 7);
         ps.place(&g, n4, 5);
-        let w = window_of(&g, &ps, &frames, n2);
-        assert_eq!(w.kind, WindowKind::Both);
-        assert_eq!(w.cycles, vec![4], "recurrence forces exactly cycle 4");
+        let w = window(&g, &ps, &frames, n2);
+        assert_eq!(w, vec![4], "recurrence forces exactly cycle 4");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Scheduling-oriented graph analyses: ASAP/ALAP frames, mobility,
-//! depth/height priorities and the longest dependence path (LDP).
+//! Scheduling-oriented graph analyses: ASAP frames, depth/height
+//! priorities and the longest dependence path (LDP).
 //!
 //! The LDP is the paper's §5 metric: "the longest dependence path in
 //! the DDG of the loop"; together with MII it delineates the II range
@@ -15,16 +15,12 @@ pub struct TimeFrames {
     /// Earliest legal issue cycle of each node (modulo constraints with
     /// the given II folded in).
     pub asap: Vec<i64>,
-    /// Latest issue cycle of each node given the ASAP-derived horizon.
-    pub alap: Vec<i64>,
-    /// `alap − asap` slack.
-    pub mobility: Vec<i64>,
     /// The II the frames were computed for.
     pub ii: u32,
 }
 
 impl TimeFrames {
-    /// Compute ASAP/ALAP/mobility for `ddg` at initiation interval `ii`.
+    /// Compute the ASAP frames of `ddg` at initiation interval `ii`.
     ///
     /// Returns `None` if `ii` is below the recurrence bound (a positive
     /// cycle makes the longest-path fixpoint diverge).
@@ -34,7 +30,6 @@ impl TimeFrames {
 
         // ASAP: longest path from a virtual source via Bellman–Ford.
         let mut asap = vec![0i64; n];
-        let mut converged = false;
         for _ in 0..=n {
             let mut changed = false;
             for e in ddg.edges() {
@@ -46,48 +41,10 @@ impl TimeFrames {
                 }
             }
             if !changed {
-                converged = true;
-                break;
+                return Some(TimeFrames { asap, ii });
             }
         }
-        if !converged {
-            return None;
-        }
-
-        // Horizon: latest completion over all nodes.
-        let horizon = ddg
-            .inst_ids()
-            .map(|u| asap[u.index()] + ddg.inst(u).latency as i64)
-            .max()
-            .unwrap_or(0);
-
-        // ALAP: longest path to a virtual sink, backwards.
-        let mut alap: Vec<i64> = ddg
-            .inst_ids()
-            .map(|u| horizon - ddg.inst(u).latency as i64)
-            .collect();
-        for _ in 0..=n {
-            let mut changed = false;
-            for e in ddg.edges() {
-                let w = e.delay - iil * e.distance as i64;
-                let t = alap[e.dst.index()] - w;
-                if t < alap[e.src.index()] {
-                    alap[e.src.index()] = t;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        let mobility = asap.iter().zip(alap.iter()).map(|(&a, &l)| l - a).collect();
-        Some(TimeFrames {
-            asap,
-            alap,
-            mobility,
-            ii,
-        })
+        None
     }
 }
 
@@ -202,33 +159,6 @@ mod tests {
         let g = chain();
         let f = TimeFrames::compute(&g, 1).unwrap();
         assert_eq!(f.asap, vec![0, 3, 7]);
-    }
-
-    #[test]
-    fn alap_equals_asap_on_a_pure_chain() {
-        let g = chain();
-        let f = TimeFrames::compute(&g, 1).unwrap();
-        assert_eq!(f.alap, f.asap);
-        assert!(f.mobility.iter().all(|&m| m == 0));
-    }
-
-    #[test]
-    fn mobility_positive_off_critical_path() {
-        let mut b = DdgBuilder::new("diamond");
-        let src = b.inst_lat("src", OpClass::IntAlu, 1);
-        let slow = b.inst_lat("slow", OpClass::FpDiv, 12);
-        let fast = b.inst_lat("fast", OpClass::IntAlu, 1);
-        let sink = b.inst_lat("sink", OpClass::IntAlu, 1);
-        b.reg_flow(src, slow, 0);
-        b.reg_flow(src, fast, 0);
-        b.reg_flow(slow, sink, 0);
-        b.reg_flow(fast, sink, 0);
-        let g = b.build().unwrap();
-        let f = TimeFrames::compute(&g, 4).unwrap();
-        assert_eq!(f.mobility[src.index()], 0);
-        assert_eq!(f.mobility[slow.index()], 0);
-        assert_eq!(f.mobility[sink.index()], 0);
-        assert_eq!(f.mobility[fast.index()], 11);
     }
 
     #[test]

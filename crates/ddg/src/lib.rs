@@ -13,9 +13,8 @@
 //! * strongly connected components ([`scc`]) via Tarjan's algorithm,
 //! * the recurrence-constrained initiation interval `RecII` and per-SCC
 //!   recurrence bounds ([`mii`]),
-//! * ASAP/ALAP/mobility/depth/height and the longest dependence path
-//!   (LDP) used by the paper's §5 metrics ([`analysis`]),
-//! * DOT export for debugging ([`dot`]).
+//! * ASAP frames, depth/height and the longest dependence path (LDP)
+//!   used by the paper's §5 metrics ([`analysis`]).
 //!
 //! The resource-constrained bound `ResII` needs a machine model and
 //! therefore lives in the `tms-machine` crate.
@@ -23,7 +22,6 @@
 pub mod analysis;
 pub mod builder;
 pub mod classify;
-pub mod dot;
 pub mod edge;
 pub mod graph;
 pub mod inst;

@@ -212,7 +212,7 @@ fn hash(seed: u64, site: &str, key: &str) -> u64 {
 /// Stable content hash: FNV-1a over `parts`, each terminated by a
 /// `0xff` byte (which never occurs in UTF-8, so part boundaries are
 /// unambiguous — including empty and trailing parts), finished with
-/// the [`mix`] splitmix64 finaliser. This is the same construction the
+/// the `mix` splitmix64 finaliser. This is the same construction the
 /// fault sites use for their decisions, exported for callers that need
 /// a deterministic, process-independent key — notably the `tmsd`
 /// content-addressed schedule cache. Not a cryptographic hash;

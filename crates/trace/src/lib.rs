@@ -8,7 +8,7 @@
 //!
 //! * **counters** — named monotonic sums (`tms.attempts`,
 //!   `sim.cycles.commit`, …). Addition is commutative, so counters
-//!   recorded from [`tms_core::par`]-style worker pools are
+//!   recorded from `tms_core::par`-style worker pools are
 //!   deterministic at any worker count *provided the recording sites
 //!   are* (the scheduler records its accounting in the serial fold,
 //!   keyed by candidate index, never by arrival order);

@@ -33,7 +33,6 @@ pub const KNOWN_COUNTERS: &[&str] = &[
     "tms.place.probe.accept-generic",
     "tms.place.probe.c1-reject-fast",
     "tms.place.probe.c1-reject-generic",
-    "tms.place.probe.c2-reject-fast",
     "tms.place.probe.c2-reject-generic",
     "tms.place.scans",
     "tms.pruned.cost-bound",
@@ -109,7 +108,6 @@ pub const TMS_PROFILE_COUNTERS: &[&str] = &[
     "tms.place.probe.accept-generic",
     "tms.place.probe.c1-reject-fast",
     "tms.place.probe.c1-reject-generic",
-    "tms.place.probe.c2-reject-fast",
     "tms.place.probe.c2-reject-generic",
     "tms.place.scans",
 ];

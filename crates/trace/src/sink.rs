@@ -918,7 +918,7 @@ impl Trace {
         out
     }
 
-    /// The Chrome `trace_event` JSON (see [`crate::chrome`]) of the
+    /// The Chrome `trace_event` JSON (see the `chrome` module) of the
     /// *resident* events. For a streaming sink the spilled events are
     /// on disk, not here — render those with `tms trace merge` /
     /// `tms_verify::traces::chrome_from_spills` instead.

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! `pid` is not stored — it is a pure function of `cat` (see
-//! [`crate::chrome::pid_of_cat`]) and is re-derived at render time.
+//! `chrome::pid_of_cat`) and is re-derived at render time.
 //! Span (`"ph":"X"`) args are strings; counter (`"ph":"C"`) args are
 //! unsigned integers, the same distinction the Chrome exporter makes.
 //! This crate only writes the format. `tms_verify::traces` reads it

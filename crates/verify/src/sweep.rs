@@ -1,6 +1,6 @@
 //! The full verification sweep as a library: every workload family plus
-//! a fuzzed population through [`check_loop`], fanned across a bounded
-//! worker pool.
+//! a fuzzed population through [`check_loop`](crate::check_loop),
+//! fanned across a bounded worker pool.
 //!
 //! Loops are independent, so the sweep dispatches them through
 //! [`tms_core::par::par_map`]; results come back in input order at any

@@ -370,7 +370,7 @@ struct ProfRow {
     scans: u64,
     forced: u64,
     ejected: u64,
-    probe: [(&'static str, u64); 6],
+    probe: [(&'static str, u64); 5],
     max_chain: u64,
     /// `(node id, node name, attempts, ejections)`, hottest first.
     hot: Vec<(usize, String, u64, u64)>,
@@ -461,14 +461,23 @@ fn cmd_profile(args: &[String]) -> ExitCode {
     let mut json_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
     let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--ncore" => ncore = it.next().and_then(|v| v.parse().ok()).unwrap_or(4),
-            "--top" => top = it.next().and_then(|v| v.parse().ok()).unwrap_or(5),
-            "--json" => json_out = it.next().cloned(),
-            "--metrics" => metrics_out = it.next().cloned(),
-            _ => {}
+    let mut parse = || -> Result<(), String> {
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--ncore" => ncore = flag_num(&mut it, "--ncore")?,
+                "--top" => top = flag_num(&mut it, "--top")?,
+                "--json" => json_out = Some(flag_str(&mut it, "--json")?.clone()),
+                "--metrics" => metrics_out = Some(flag_str(&mut it, "--metrics")?.clone()),
+                other => return Err(format!("unknown option {other:?}")),
+            }
         }
+        if ncore == 0 {
+            return Err("--ncore: must be at least 1".to_string());
+        }
+        Ok(())
+    };
+    if let Err(e) = parse() {
+        return operational(&e);
     }
     let Some((family, loops)) = profile_targets(target) else {
         eprintln!(
@@ -511,7 +520,6 @@ fn cmd_profile(args: &[String]) -> ExitCode {
                 ("accept_generic", p.probe_accept_generic),
                 ("c1_reject_fast", p.probe_c1_fast),
                 ("c1_reject_generic", p.probe_c1_generic),
-                ("c2_reject_fast", p.probe_c2_fast),
                 ("c2_reject_generic", p.probe_c2_generic),
             ],
             max_chain: p.eject_chain_depth.max,

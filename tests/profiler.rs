@@ -50,7 +50,6 @@ fn attribution(p: &PlaceProfile) -> impl PartialEq + std::fmt::Debug {
             p.probe_accept_generic,
             p.probe_c1_fast,
             p.probe_c1_generic,
-            p.probe_c2_fast,
             p.probe_c2_generic,
         ),
         (
@@ -184,4 +183,28 @@ fn profile_on_populates_profile_and_schema_complete_metrics() {
         accepts > 0,
         "schedules built without a single accepted probe"
     );
+}
+
+/// `tms profile` refuses a bad flag with a message and exit 2, like
+/// every other subcommand: no panic on `--ncore 0`, no silent default
+/// for an unparsable value, no ignored unknown flag.
+#[test]
+fn tms_profile_refuses_bad_flags_with_exit_2() {
+    for flags in [
+        &["--ncore", "0"][..],
+        &["--ncore", "abc"],
+        &["--top", "x"],
+        &["--json"],
+        &["--bogus"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_tms"))
+            .args(["profile", "daxpy"])
+            .args(flags)
+            .output()
+            .expect("run tms");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.starts_with("tms: "), "{flags:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?} ran the profile");
+    }
 }
