@@ -9,32 +9,32 @@
 //! # Persistence
 //!
 //! One ndjson line per entry — `{"key":"<16 hex>","result":"<escaped
-//! result JSON>"}` — appended through the same
-//! [`tms_trace::stream::LineAppender`] as the trace spill sink: one
-//! `write_all` per line, so a crash can tear at most the final line,
-//! and transient write faults retried at 50/100/200 µs. Any append
-//! that still fails (disk-full, a torn write, retries exhausted)
-//! degrades the cache to memory-only for the rest of the run — the
-//! daemon keeps answering, it just stops persisting.
+//! result JSON>"}` — appended line-atomically: one `write_all` per
+//! line, so a crash can tear at most the final line, and transient
+//! write faults retried at 50/100/200 µs. Any append that still fails
+//! (disk-full, a torn write, retries exhausted) degrades the cache to
+//! memory-only for the rest of the run — the daemon keeps answering,
+//! it just stops persisting.
 //!
 //! # Recovery
 //!
 //! [`ScheduleCache::open`] recovers the valid prefix of a torn or
 //! partially corrupted file: a torn *final* line is the expected crash
 //! artifact and is silently dropped; malformed lines elsewhere are
-//! dropped too (availability wins over the spill reader's hard-error
-//! stance — a daemon that refuses to start over one bad cache line
-//! would turn a disk hiccup into an outage) but are *counted* so the
-//! operator sees the corruption. The compacted survivors are rewritten
-//! so the file is clean again for the next restart.
+//! dropped too (availability wins over a strict reader's hard error —
+//! a daemon that refuses to start over one bad cache line would turn a
+//! disk hiccup into an outage) but are *counted* so the operator sees
+//! the corruption. The compacted survivors are rewritten so the file
+//! is clean again for the next restart.
 
 use crate::proto::key_hex;
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use tms_faults::FaultPlan;
-use tms_trace::stream::LineAppender;
+use std::time::Duration;
+use tms_faults::{FaultPlan, IoFault};
 
 /// What [`ScheduleCache::open`] found on disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,13 +56,70 @@ pub struct WriteReport {
     pub degraded_now: bool,
 }
 
+/// `Interrupted` retries per line before [`LineAppender::append`] gives
+/// up.
+const APPEND_RETRIES: u32 = 3;
+
+/// Retry `n` (0-based) sleeps `APPEND_BACKOFF_US << n` microseconds:
+/// 50, 100, 200 — bounded, tiny, and only ever paid on a failing disk.
+const APPEND_BACKOFF_US: u64 = 50;
+
+/// Appends whole lines to the cache file, **line-atomically**: each
+/// line, newline included, goes to the file in one `write_all`, so
+/// while appends succeed the file is a clean prefix of complete lines,
+/// and a killed process tears at most the final one.
+///
+/// Every write attempt, retries included, takes the next 1-based
+/// attempt index, and [`FaultPlan::cache_write_fault`] is asked about
+/// that index, so a retried transient fault can clear. A failed
+/// attempt is retried up to [`APPEND_RETRIES`] times, after 50, 100 and
+/// 200 µs, when it is `ErrorKind::Interrupted`. An injected short write
+/// puts half the line in the file for real (the torn tail
+/// [`ScheduleCache::open`] must cope with) and fails with
+/// `ErrorKind::WriteZero`, the kind `write_all` reports for a short
+/// write. Any failure that is not retried is returned; the cache then
+/// stops persisting.
+struct LineAppender {
+    file: File,
+    plan: FaultPlan,
+    attempts: u64,
+    retries: u64,
+}
+
+impl LineAppender {
+    /// Append one complete line (its trailing newline included).
+    fn append(&mut self, line: &[u8]) -> io::Result<()> {
+        let mut retry = 0u32;
+        loop {
+            self.attempts += 1;
+            let outcome = match self.plan.cache_write_fault(self.attempts) {
+                Some(IoFault::ShortWrite) => {
+                    let _ = self.file.write_all(&line[..line.len() / 2]);
+                    Err(IoFault::ShortWrite.to_io_error())
+                }
+                Some(fault) => Err(fault.to_io_error()),
+                None => self.file.write_all(line),
+            };
+            match outcome {
+                Ok(()) => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted && retry < APPEND_RETRIES => {
+                    self.retries += 1;
+                    std::thread::sleep(Duration::from_micros(APPEND_BACKOFF_US << retry));
+                    retry += 1;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
 /// In-memory map plus append-only persistence. Not internally
 /// synchronised — the daemon serialises access behind one mutex.
 pub struct ScheduleCache {
     entries: BTreeMap<u64, String>,
     path: Option<PathBuf>,
     /// The persisted log; `None` when memory-only or degraded.
-    log: Option<LineAppender<File>>,
+    log: Option<LineAppender>,
 }
 
 fn parse_entry(line: &str) -> Option<(u64, String)> {
@@ -147,7 +204,12 @@ impl ScheduleCache {
             ScheduleCache {
                 entries,
                 path: Some(path.to_path_buf()),
-                log: file.map(|f| LineAppender::new(f, plan, FaultPlan::cache_write_fault)),
+                log: file.map(|file| LineAppender {
+                    file,
+                    plan,
+                    attempts: 0,
+                    retries: 0,
+                }),
             },
             report,
         )
@@ -186,10 +248,10 @@ impl ScheduleCache {
         let Some(log) = &mut self.log else {
             return WriteReport::default();
         };
-        let before = log.retries();
+        let before = log.retries;
         let appended = log.append(render_entry(key, result).as_bytes());
         let report = WriteReport {
-            retries: log.retries() - before,
+            retries: log.retries - before,
             degraded_now: appended.is_err(),
         };
         if appended.is_err() {
@@ -293,10 +355,104 @@ mod tests {
         let w = c.insert(1, r#"{"ii":4}"#);
         // Every attempt faults transiently, so retries exhaust and the
         // cache degrades — but the entry stays resident.
-        assert_eq!(w.retries, u64::from(tms_trace::stream::APPEND_RETRIES));
+        assert_eq!(w.retries, u64::from(APPEND_RETRIES));
         assert!(w.degraded_now);
         assert!(!c.persisting());
         assert_eq!(c.get(1), Some(r#"{"ii":4}"#));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A cache result for entry `i`: a distinct JSON object.
+    fn result(i: u64) -> String {
+        format!("{{\"ii\":{i}}}")
+    }
+
+    #[test]
+    fn partial_transient_faults_are_retried_away() {
+        let path = tmp("flaky");
+        let _ = std::fs::remove_file(&path);
+        // 1 write attempt in 8 fails transiently; each gets up to 3
+        // retries at fresh attempt indices. The seed fixes the whole
+        // sequence, so this cannot flake.
+        let plan = FaultPlan::with_rates(
+            0xC0FFEE,
+            FaultRates {
+                cache_write_transient_per_1024: 128,
+                cache_write_fail_after: None,
+                cache_write_torn_at: None,
+                ..FaultRates::default()
+            },
+        );
+        let (mut c, _) = ScheduleCache::open(&path, plan);
+        let mut retries = 0;
+        for i in 0..200u64 {
+            let w = c.insert(i, &result(i));
+            assert!(!w.degraded_now, "insert {i} exhausted its retries");
+            retries += w.retries;
+        }
+        assert!(retries > 0, "the fault plan never fired");
+        assert!(c.persisting());
+        drop(c);
+        let (c2, r) = ScheduleCache::open(&path, FaultPlan::disabled());
+        assert_eq!(
+            r,
+            LoadReport {
+                recovered: 200,
+                dropped_torn_tail: false,
+                dropped_corrupt: 0,
+            }
+        );
+        for i in 0..200u64 {
+            assert_eq!(c2.get(i), Some(result(i).as_str()));
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn disk_full_degrades_at_once_and_keeps_whole_lines() {
+        let path = tmp("diskfull");
+        let _ = std::fs::remove_file(&path);
+        let plan = FaultPlan::with_rates(
+            2,
+            FaultRates {
+                cache_write_transient_per_1024: 0,
+                cache_write_fail_after: Some(5),
+                cache_write_torn_at: None,
+                ..FaultRates::default()
+            },
+        );
+        let (mut c, _) = ScheduleCache::open(&path, plan);
+        for i in 0..5u64 {
+            assert_eq!(c.insert(i, &result(i)), WriteReport::default());
+        }
+        // Disk-full is not transient: no retry loop, degrade at once.
+        assert_eq!(
+            c.insert(5, &result(5)),
+            WriteReport {
+                retries: 0,
+                degraded_now: true,
+            }
+        );
+        assert!(!c.persisting());
+        for i in 6..10u64 {
+            assert_eq!(c.insert(i, &result(i)), WriteReport::default());
+        }
+        for i in 0..10u64 {
+            assert_eq!(c.get(i), Some(result(i).as_str()), "memory lost {i}");
+        }
+        drop(c);
+        // Disk-full never tears a line: exactly the first 5 survive.
+        let (c2, r) = ScheduleCache::open(&path, FaultPlan::disabled());
+        assert_eq!(
+            r,
+            LoadReport {
+                recovered: 5,
+                dropped_torn_tail: false,
+                dropped_corrupt: 0,
+            }
+        );
+        assert_eq!(c2.get(4), Some(result(4).as_str()));
+        assert_eq!(c2.get(5), None);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -13,8 +13,8 @@
 //!   the canonicalised DDG, machine model, core count and search
 //!   knobs. Warm replies replay the stored result bytes verbatim, so a
 //!   hit is byte-identical to the cold schedule. The cache persists as
-//!   crash-safe ndjson, appended through the trace spill sink's
-//!   [`tms_trace::stream::LineAppender`], with lossy-prefix recovery.
+//!   crash-safe ndjson, appended one whole line per write, with
+//!   lossy-prefix recovery.
 //! * **Bad input is an error reply**: a request line that does not
 //!   parse, or a DDG that `tms_ddg::Ddg::from_parts` refuses (a
 //!   dangling edge, a latency, distance or `|delay|` past

@@ -45,9 +45,6 @@ pub fn hot_rates() -> FaultRates {
         sched_budget_per_1024: 512,
         sched_budget_attempts: 2,
         worker_panic_per_1024: 96,
-        spill_transient_per_1024: 0,
-        spill_fail_after: None,
-        spill_torn_at: None,
         misspec_per_1024: 0,
         jitter_per_1024: 0,
         jitter_max_cycles: 0,

@@ -5,14 +5,13 @@
 //! threads. This crate holds the harness to the same standard. A
 //! [`FaultPlan`] is a seeded, deterministic oracle that decides — at
 //! named sites spread across the scheduler, the simulator, the worker
-//! pool and the trace spill sink — whether a fault fires, and every
-//! layer it touches must degrade gracefully instead of aborting:
+//! pool and the `tmsd` daemon — whether a fault fires, and every layer
+//! it touches must degrade gracefully instead of aborting:
 //!
 //! | site | injected fault | expected degradation |
 //! |------|----------------|----------------------|
 //! | [`SITE_SCHED_BUDGET`] | a tiny `(II, C_delay, P_max)` attempt budget for selected loops | `schedule_tms` falls back to the plain SMS schedule and reports `Diagnostic::DegradedToSms` |
 //! | [`SITE_PAR_PANIC`] | a panicking worker on a chosen item (fires once per key) | `tms_core::par` catches the unwind and re-executes the item serially — results stay bit-identical at any `--jobs` |
-//! | [`SITE_SPILL_WRITE`] | `ErrorKind::Interrupted`, disk-full, or a short (torn) write on a spill line | the streaming sink retries with bounded backoff, then degrades to the in-memory sink and records `trace.spill.degraded` |
 //! | [`SITE_SIM_MISSPEC`] | a forced misspeculation burst on selected `(loop, thread)` pairs | the engine squashes and replays; the committed memory image must still equal the sequential reference |
 //! | [`SITE_SIM_JITTER`] | extra cycles on a thread's inter-core ring-queue arrivals | RECV stalls grow; the run slows but stays correct |
 //! | [`SITE_DAEMON_ACCEPT`] | `ErrorKind::Interrupted` on selected `tmsd` accepts | the accept loop backs off and retries; the connection stays queued in the listen backlog, never dropped |
@@ -23,7 +22,7 @@
 //!
 //! Every decision is a pure function of `(seed, site, key)` — never of
 //! wall-clock time or cross-thread arrival order. Callers key decisions
-//! by *stable identifiers* (loop name, thread index, spill-write index),
+//! by *stable identifiers* (loop name, thread index, write index),
 //! so the same plan replayed at `--jobs 1/2/4` injects exactly the same
 //! faults and the sweep report and merged metrics stay byte-identical.
 //! The only mutable state is the *once-latch* used by sites that must
@@ -44,8 +43,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub const SITE_SCHED_BUDGET: &str = "sched.budget";
 /// Worker-pool site: panic on the first execution of selected items.
 pub const SITE_PAR_PANIC: &str = "par.worker_panic";
-/// Trace-sink site: fail spill writes (transient, torn, or disk-full).
-pub const SITE_SPILL_WRITE: &str = "trace.spill.write";
 /// Engine site: force a misspeculation on selected `(loop, thread)`s.
 pub const SITE_SIM_MISSPEC: &str = "sim.misspec";
 /// Engine site: jitter a thread's ring-queue arrival times.
@@ -57,23 +54,23 @@ pub const SITE_DAEMON_CACHE_READ: &str = "daemon.cache.read";
 /// Daemon site: fail schedule-cache persist writes.
 pub const SITE_DAEMON_CACHE_WRITE: &str = "daemon.cache.write";
 
-/// What an injected spill-write fault looks like to the sink.
+/// What an injected I/O fault looks like to the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoFault {
     /// `ErrorKind::Interrupted` — transient; a retry should succeed.
     Interrupted,
     /// `ErrorKind::StorageFull` — persistent; retries are futile and
-    /// the sink should degrade after its retry budget.
+    /// the caller should degrade after its retry budget.
     DiskFull,
     /// Only a prefix of the line reaches the file (a torn write, as a
     /// killed process would leave). The file's tail is no longer
-    /// line-atomic; the sink must degrade immediately and readers must
-    /// recover the valid prefix.
+    /// line-atomic; the caller must degrade immediately and readers
+    /// must recover the valid prefix.
     ShortWrite,
 }
 
 impl IoFault {
-    /// Render the fault as the `io::Error` the sink would have seen.
+    /// Render the fault as the `io::Error` the caller would have seen.
     pub fn to_io_error(self) -> io::Error {
         match self {
             IoFault::Interrupted => {
@@ -100,15 +97,6 @@ pub struct FaultRates {
     /// Fraction of worker items (per 1024) whose first execution
     /// panics.
     pub worker_panic_per_1024: u32,
-    /// Fraction of spill writes (per 1024) hit with a transient
-    /// `Interrupted` error.
-    pub spill_transient_per_1024: u32,
-    /// Spill write index (1-based) past which every write fails with
-    /// disk-full. `None` disables the persistent-failure mode.
-    pub spill_fail_after: Option<u64>,
-    /// Spill write index (1-based) at which exactly one torn write is
-    /// injected. `None` disables.
-    pub spill_torn_at: Option<u64>,
     /// Fraction of `(loop, thread)` pairs (per 1024) forced to
     /// misspeculate once.
     pub misspec_per_1024: u32,
@@ -144,9 +132,6 @@ impl Default for FaultRates {
             sched_budget_per_1024: 96,
             sched_budget_attempts: 2,
             worker_panic_per_1024: 64,
-            spill_transient_per_1024: 8,
-            spill_fail_after: None,
-            spill_torn_at: Some(5_000),
             misspec_per_1024: 48,
             jitter_per_1024: 48,
             jitter_max_cycles: 24,
@@ -324,27 +309,6 @@ impl FaultPlan {
         true
     }
 
-    /// The fault injected on spill write number `write_index` (1-based),
-    /// if any ([`SITE_SPILL_WRITE`]). Pure in the index, so retries of
-    /// the *same* write see the same answer — the sink advances the
-    /// index per attempt, which is what lets a transient fault clear.
-    pub fn spill_write_fault(&self, write_index: u64) -> Option<IoFault> {
-        let p = self.inner.as_ref()?;
-        let fault = if p.rates.spill_torn_at == Some(write_index) {
-            IoFault::ShortWrite
-        } else if p.rates.spill_fail_after.is_some_and(|n| write_index > n) {
-            IoFault::DiskFull
-        } else {
-            let key = write_index.to_string();
-            if !Self::chance(p, SITE_SPILL_WRITE, &key, p.rates.spill_transient_per_1024) {
-                return None;
-            }
-            IoFault::Interrupted
-        };
-        Self::note(p, SITE_SPILL_WRITE);
-        Some(fault)
-    }
-
     /// True exactly once for each selected `(loop, thread)` pair: the
     /// engine should treat the thread's first execution as violated and
     /// replay it ([`SITE_SIM_MISSPEC`]). The once-latch is what lets
@@ -419,9 +383,11 @@ impl FaultPlan {
     }
 
     /// The fault injected on cache persist write number `write_index`
-    /// (1-based), if any ([`SITE_DAEMON_CACHE_WRITE`]). Same contract
-    /// as [`FaultPlan::spill_write_fault`]: pure in the index, torn and
-    /// disk-full modes take precedence over the transient rate.
+    /// (1-based), if any ([`SITE_DAEMON_CACHE_WRITE`]). Pure in the
+    /// index, so retries of the *same* write see the same answer — the
+    /// cache's appender advances the index per attempt, which is what
+    /// lets a transient fault clear. Torn and disk-full modes take
+    /// precedence over the transient rate.
     pub fn cache_write_fault(&self, write_index: u64) -> Option<IoFault> {
         let p = self.inner.as_ref()?;
         let fault = if p.rates.cache_write_torn_at == Some(write_index) {
@@ -479,7 +445,7 @@ mod tests {
         for i in 0..2000u64 {
             assert_eq!(p.sched_budget(&format!("l{i}")), None);
             assert!(!p.worker_panic_once(&format!("l{i}")));
-            assert_eq!(p.spill_write_fault(i), None);
+            assert_eq!(p.cache_write_fault(i), None);
             assert!(!p.forced_misspec("l", i));
             assert_eq!(p.stall_jitter("l", i), 0);
         }
@@ -570,38 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn spill_faults_cover_all_three_kinds() {
-        let p = FaultPlan::with_rates(
-            11,
-            FaultRates {
-                spill_transient_per_1024: 1024,
-                spill_fail_after: Some(10),
-                spill_torn_at: Some(5),
-                ..FaultRates::default()
-            },
-        );
-        assert_eq!(p.spill_write_fault(5), Some(IoFault::ShortWrite));
-        assert_eq!(p.spill_write_fault(11), Some(IoFault::DiskFull));
-        assert_eq!(p.spill_write_fault(3), Some(IoFault::Interrupted));
-        assert_eq!(
-            p.spill_write_fault(3).unwrap().to_io_error().kind(),
-            io::ErrorKind::Interrupted
-        );
-        // Below the fail point and off the torn index, a zero transient
-        // rate means clean writes.
-        let quiet = FaultPlan::with_rates(
-            11,
-            FaultRates {
-                spill_transient_per_1024: 0,
-                spill_fail_after: Some(10),
-                spill_torn_at: None,
-                ..FaultRates::default()
-            },
-        );
-        assert_eq!(quiet.spill_write_fault(3), None);
-    }
-
-    #[test]
     fn jitter_is_bounded_and_pure() {
         let p = FaultPlan::with_rates(
             13,
@@ -686,6 +620,10 @@ mod tests {
         assert_eq!(p.cache_write_fault(5), Some(IoFault::ShortWrite));
         assert_eq!(p.cache_write_fault(11), Some(IoFault::DiskFull));
         assert_eq!(p.cache_write_fault(3), Some(IoFault::Interrupted));
+        assert_eq!(
+            p.cache_write_fault(3).unwrap().to_io_error().kind(),
+            io::ErrorKind::Interrupted
+        );
         let quiet = FaultPlan::with_rates(
             29,
             FaultRates {
@@ -709,7 +647,6 @@ mod tests {
                 worker_panic_per_1024: 1024,
                 misspec_per_1024: 1024,
                 jitter_per_1024: 1024,
-                spill_transient_per_1024: 1024,
                 accept_transient_per_1024: 1024,
                 cache_read_corrupt_per_1024: 1024,
                 cache_write_transient_per_1024: 1024,
@@ -720,7 +657,6 @@ mod tests {
         p.worker_panic_once("l");
         p.forced_misspec("l", 0);
         p.stall_jitter("l", 0);
-        p.spill_write_fault(1);
         p.accept_fault(1);
         p.cache_read_corrupt("l");
         p.cache_write_fault(1);
@@ -730,13 +666,12 @@ mod tests {
             SITE_PAR_PANIC,
             SITE_SIM_MISSPEC,
             SITE_SIM_JITTER,
-            SITE_SPILL_WRITE,
             SITE_DAEMON_ACCEPT,
             SITE_DAEMON_CACHE_READ,
             SITE_DAEMON_CACHE_WRITE,
         ] {
             assert_eq!(counts.get(site), Some(&1), "{site}");
         }
-        assert_eq!(p.injected_total(), 8);
+        assert_eq!(p.injected_total(), 7);
     }
 }

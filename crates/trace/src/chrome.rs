@@ -17,11 +17,7 @@
 //!
 //! Events are sorted by `(pid, tid, ts, name)` before rendering so the
 //! file is stable for a given set of recorded events; the sort is
-//! stable, so ties keep recording order. The renderer is generic over
-//! [`ChromeEvent`] so the offline merge path (`tms_verify::traces`)
-//! renders parsed spill events through the exact same bytes-out code
-//! path — that is what makes `tms trace merge` output byte-identical to
-//! an in-memory [`crate::Trace::chrome_json`] of the same events.
+//! stable, so ties keep recording order.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
@@ -34,7 +30,7 @@ pub const PID_WALL: u64 = 1;
 pub const PID_VIRTUAL: u64 = 2;
 
 /// Categories whose events live on the virtual-time process.
-pub fn pid_of_cat(cat: &str) -> u64 {
+fn pid_of_cat(cat: &str) -> u64 {
     if cat.starts_with("sim.v") {
         PID_VIRTUAL
     } else {
@@ -42,81 +38,36 @@ pub fn pid_of_cat(cat: &str) -> u64 {
     }
 }
 
-/// Accessor view of one renderable event — implemented by the live
-/// [`Event`] and by the owned events `tms_verify::traces` parses back
-/// out of `.trace.ndjson` spill files.
-pub trait ChromeEvent {
-    /// Chrome phase.
-    fn phase(&self) -> EventPhase;
-    /// Category string.
-    fn cat(&self) -> &str;
-    /// Event name.
-    fn name(&self) -> &str;
-    /// Track (`tid`).
-    fn track(&self) -> u64;
-    /// Timestamp (µs or cycles).
-    fn ts_us(&self) -> u64;
-    /// Duration (µs or cycles; ignored for counters).
-    fn dur_us(&self) -> u64;
-    /// Key/value annotations in recording order.
-    fn args(&self) -> impl Iterator<Item = (&str, &str)>;
-}
-
-impl ChromeEvent for Event {
-    fn phase(&self) -> EventPhase {
-        self.ph
-    }
-    fn cat(&self) -> &str {
-        self.cat
-    }
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn track(&self) -> u64 {
-        self.track
-    }
-    fn ts_us(&self) -> u64 {
-        self.ts_us
-    }
-    fn dur_us(&self) -> u64 {
-        self.dur_us
-    }
-    fn args(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.args.iter().map(|(k, v)| (*k, v.as_str()))
-    }
-}
-
 /// Append one event in Chrome `trace_event` form. Numbers go through
 /// [`push_u64`] — no per-event `format!` allocations on this path.
-fn write_event<E: ChromeEvent>(out: &mut String, ev: &E) {
-    match ev.phase() {
+fn write_event(out: &mut String, ev: &Event) {
+    match ev.ph {
         EventPhase::Complete => out.push_str("\n{\"ph\":\"X\",\"name\":"),
         EventPhase::Counter => out.push_str("\n{\"ph\":\"C\",\"name\":"),
     }
-    write_str(out, ev.name());
+    write_str(out, &ev.name);
     out.push_str(",\"cat\":");
-    write_str(out, ev.cat());
+    write_str(out, ev.cat);
     out.push_str(",\"pid\":");
-    push_u64(out, pid_of_cat(ev.cat()));
+    push_u64(out, pid_of_cat(ev.cat));
     out.push_str(",\"tid\":");
-    push_u64(out, ev.track());
+    push_u64(out, ev.track);
     out.push_str(",\"ts\":");
-    push_u64(out, ev.ts_us());
-    if ev.phase() == EventPhase::Complete {
+    push_u64(out, ev.ts_us);
+    if ev.ph == EventPhase::Complete {
         out.push_str(",\"dur\":");
-        push_u64(out, ev.dur_us());
+        push_u64(out, ev.dur_us);
     }
     out.push_str(",\"args\":{");
-    for (j, (k, v)) in ev.args().enumerate() {
+    for (j, (k, v)) in ev.args.iter().enumerate() {
         if j > 0 {
             out.push(',');
         }
         write_str(out, k);
         out.push(':');
-        if ev.phase() == EventPhase::Counter {
+        if ev.ph == EventPhase::Counter {
             // Counter series values are numeric — Perfetto only plots
-            // numbers. The sink records them from `u64`s, and the
-            // spill parser re-validates them as integers.
+            // numbers. The sink records them from `u64`s.
             out.push_str(v);
         } else {
             write_str(out, v);
@@ -126,14 +77,14 @@ fn write_event<E: ChromeEvent>(out: &mut String, ev: &E) {
 }
 
 /// Render the full `{"traceEvents": [...]}` document.
-pub fn render<E: ChromeEvent>(events: &[E]) -> String {
-    let mut order: Vec<&E> = events.iter().collect();
+pub(crate) fn render(events: &[Event]) -> String {
+    let mut order: Vec<&Event> = events.iter().collect();
     order.sort_by(|a, b| {
-        (pid_of_cat(a.cat()), a.track(), a.ts_us(), a.name()).cmp(&(
-            pid_of_cat(b.cat()),
-            b.track(),
-            b.ts_us(),
-            b.name(),
+        (pid_of_cat(a.cat), a.track, a.ts_us, &a.name).cmp(&(
+            pid_of_cat(b.cat),
+            b.track,
+            b.ts_us,
+            &b.name,
         ))
     });
 
@@ -142,7 +93,7 @@ pub fn render<E: ChromeEvent>(events: &[E]) -> String {
         if i > 0 {
             out.push(',');
         }
-        write_event(&mut out, *ev);
+        write_event(&mut out, ev);
     }
     out.push_str("\n]}\n");
     out
@@ -204,6 +155,6 @@ mod tests {
 
     #[test]
     fn empty_trace_is_valid() {
-        assert_eq!(render::<Event>(&[]), "{\"traceEvents\":[\n]}\n");
+        assert_eq!(render(&[]), "{\"traceEvents\":[\n]}\n");
     }
 }

@@ -1,5 +1,5 @@
-//! Structured tracing and metrics for the TMS pipeline, depending on
-//! nothing but `tms-faults`.
+//! Structured tracing and metrics for the TMS pipeline, using nothing
+//! outside the standard library.
 //!
 //! The paper's whole contribution is a cost model that *predicts* where
 //! cycles go; this crate is what lets the implementation *show* where
@@ -27,35 +27,13 @@
 //!   per-core occupancy, attempts per loop) that Perfetto plots as
 //!   counter tracks: resource pressure over time, not just end totals.
 //!
-//! # Bounded memory: streaming sinks
+//! # Memory
 //!
-//! [`Trace::enabled`] buffers every event in memory — fine for one
-//! loop, unacceptable for a `--specfp-cap 0` sweep. [`Trace::streaming`]
-//! spills completed events to a `.trace.ndjson` file (one JSON object
-//! per line, see [`stream`]) through a buffer of at most `buffer_cap`
-//! events, while counters/histograms stay resident; the offline merge
-//! (`tms trace merge`, backed by `tms_verify::traces`) converts
-//! one-or-many spill files into the same sorted Chrome document the
-//! in-memory sink renders — byte-identical for the same events, because
-//! it renders through this crate's [`render_chrome`]. This crate writes
-//! JSON and never parses it: every reader lives in `tms_verify::traces`.
-//!
-//! # Robustness: retry, degrade, recover
-//!
-//! Spill lines are written **line-atomically** by
-//! [`stream::LineAppender`] (full frame + newline in one write), so a
-//! killed process tears at most the final line — which the lossy
-//! readers in `tms_verify::traces` drop and report while recovering
-//! everything before it. Transient write errors are retried with
-//! bounded backoff; on exhaustion (or a torn/persistent failure) the
-//! sink **degrades to the in-memory mode** — no event or metric is
-//! lost, the memory bound is traded away, and the condition is recorded
-//! as the `trace.spill.degraded` counter plus [`Trace::spill_degraded`].
-//! Every fallible public entry point returns a [`TraceError`] naming
-//! the file involved; the final `Drop` flush never panics (swallowed
-//! failures are counted by [`drop_flush_failures`] and logged once).
-//! The whole ladder is exercised deterministically by
-//! `tms-verify --faults` through [`Trace::streaming_faulted`].
+//! An enabled sink keeps every event in memory until it is rendered.
+//! The largest traced run, `tms-verify --specfp-cap 0 --jobs 2 --trace`
+//! (1,001 loops), holds about 275k events and peaks near 170 MB of
+//! resident memory. This crate writes JSON and never parses it: every
+//! reader lives in `tms_verify::traces`.
 //!
 //! # Sharding: metrics are a monoid
 //!
@@ -100,11 +78,9 @@ mod error;
 mod json;
 pub mod schema;
 mod sink;
-pub mod stream;
 
-pub use chrome::{render as render_chrome, ChromeEvent, PID_VIRTUAL, PID_WALL};
+pub use chrome::{PID_VIRTUAL, PID_WALL};
 pub use error::TraceError;
 pub use sink::{
-    drop_flush_failures, Event, EventPhase, Histogram, MetricsSnapshot, SpanGuard, Trace,
-    HISTOGRAM_BUCKETS,
+    Event, EventPhase, Histogram, MetricsSnapshot, SpanGuard, Trace, HISTOGRAM_BUCKETS,
 };

@@ -2,14 +2,11 @@
 
 use crate::error::TraceError;
 use crate::json;
-use crate::stream::LineAppender;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
-use tms_faults::FaultPlan;
 
 /// Lock the sink state, tolerating poison: a worker panic caught by
 /// `tms_core::par` may have unwound while holding this mutex, and the
@@ -19,17 +16,6 @@ use tms_faults::FaultPlan;
 /// into a panic on every later recording call.
 fn lock_state(m: &Mutex<State>) -> MutexGuard<'_, State> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Flush failures swallowed by `Sink::drop` since process start (the
-/// destructor must never panic — and has no way to return the error).
-static DROP_FLUSH_FAILURES: AtomicU64 = AtomicU64::new(0);
-
-/// How many spill-flush failures `Drop` has had to swallow. The first
-/// one per process is also logged to stderr; harnesses can assert this
-/// stayed 0.
-pub fn drop_flush_failures() -> u64 {
-    DROP_FLUSH_FAILURES.load(Ordering::Relaxed)
 }
 
 /// Stable per-OS-thread track id for span events (`std::thread::ThreadId`
@@ -255,142 +241,27 @@ pub struct Event {
     pub args: Vec<(&'static str, String)>,
 }
 
-/// Spill half of a streaming sink: completed events drain to a
-/// newline-delimited JSON file whenever the resident buffer reaches
-/// `cap`, so a traced run holds at most `cap` events in memory.
-///
-/// # Crash consistency and degradation
-///
-/// Events go through a [`LineAppender`], so the file is a clean prefix
-/// of complete lines at any instant and a killed process tears at most
-/// the final line (which `tms_verify::traces`' lossy readers drop and
-/// report). The `BufWriter` is flushed only on [`Trace::flush`]/drop —
-/// batching policy, not a consistency requirement.
-///
-/// When an append fails (a torn write, a persistent fault, or
-/// transient faults past the appender's retries) the sink
-/// **degrades**: it stops spilling and keeps all further events
-/// resident (the memory bound is gone, but no event and no metric is
-/// lost), recording `trace.spill.degraded` and the retry total in the
-/// metrics so the degradation is itself observable in snapshots.
-struct SpillState {
-    log: LineAppender<io::BufWriter<std::fs::File>>,
-    path: std::path::PathBuf,
-    cap: usize,
-    high_water: usize,
-    spilled: u64,
-    /// Why the sink stopped spilling, once it has.
-    degraded: Option<String>,
-}
-
 #[derive(Default)]
 struct State {
     counters: BTreeMap<String, u64>,
     values: BTreeMap<String, Histogram>,
     timers: BTreeMap<String, Histogram>,
     events: Vec<Event>,
-    spill: Option<SpillState>,
-}
-
-/// Drain the resident events into the spill file. On a write failure
-/// the sink degrades in place: the unwritten events (including the one
-/// that failed) stay resident, the degradation is recorded in the
-/// counters, and no further drains run. Never panics.
-fn drain_to_spill(st: &mut State) {
-    let Some(sp) = &mut st.spill else { return };
-    if sp.degraded.is_some() {
-        return;
-    }
-    let mut line = String::new();
-    let mut written = 0usize;
-    for ev in st.events.iter() {
-        line.clear();
-        crate::stream::write_ndjson_line(&mut line, ev);
-        if let Err(e) = sp.log.append(line.as_bytes()) {
-            // The appender has flushed what it could: the file is left
-            // as a maximal valid prefix, plus at most one torn line.
-            sp.degraded = Some(if e.kind() == io::ErrorKind::WriteZero {
-                "torn spill write".to_string()
-            } else {
-                format!("spill write failed: {e}")
-            });
-            *st.counters
-                .entry("trace.spill.degraded".to_string())
-                .or_insert(0) += 1;
-            break;
-        }
-        written += 1;
-    }
-    sp.spilled += written as u64;
-    st.events.drain(..written);
-    if sp.log.retries() > 0 {
-        // Idempotent overwrite (not an add): `retries` is the running
-        // total, so repeated drains keep the counter exact.
-        st.counters
-            .insert("trace.spill.retries".to_string(), sp.log.retries());
-    }
-}
-
-impl State {
-    fn push_event(&mut self, ev: Event) {
-        self.events.push(ev);
-        let Some(sp) = &mut self.spill else { return };
-        if sp.degraded.is_some() {
-            // Degraded mode: behave like the in-memory sink — keep
-            // everything resident, lose nothing.
-            return;
-        }
-        sp.high_water = sp.high_water.max(self.events.len());
-        if self.events.len() >= sp.cap {
-            drain_to_spill(self);
-        }
-    }
 }
 
 /// The shared collector. Private on purpose: the only way to obtain one
-/// is [`Trace::enabled`] / [`Trace::streaming`], and the only disabled
-/// representation is *no sink at all* — there is no half-constructed
-/// state to pay for.
+/// is [`Trace::enabled`], and the only disabled representation is *no
+/// sink at all* — there is no half-constructed state to pay for.
 struct Sink {
     epoch: Instant,
     state: Mutex<State>,
 }
 
-impl Drop for Sink {
-    fn drop(&mut self) {
-        // Best-effort final spill; explicit `Trace::flush` is the
-        // error-reporting path. This destructor must never panic (it
-        // can run during an unwind, where a second panic aborts), so
-        // poison is tolerated and failed flushes are counted, with the
-        // first one per process logged to stderr. A sink that degraded
-        // earlier is not a failed flush: `trace.spill.degraded` and
-        // `Trace::spill_degraded` already report it.
-        let st = self
-            .state
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if st.spill.is_some() {
-            drain_to_spill(st);
-        }
-        let failed = match &mut st.spill {
-            None => false,
-            Some(sp) => sp.log.flush().is_err(),
-        };
-        if failed && DROP_FLUSH_FAILURES.fetch_add(1, Ordering::Relaxed) == 0 {
-            eprintln!(
-                "tms-trace: spill flush failed in drop; trailing events were \
-                 kept in memory and are lost with this sink (logged once)"
-            );
-        }
-    }
-}
-
 /// A cheaply clonable tracing handle: either **disabled** (no sink, all
 /// recording methods are one-branch no-ops) or **enabled** (an
 /// `Arc`-shared, mutex-protected sink safe to use from
-/// `tms_core::par` worker threads). [`Trace::streaming`] is an enabled
-/// handle whose completed events spill to disk through a bounded
-/// buffer.
+/// `tms_core::par` worker threads). An enabled sink keeps every event
+/// in memory until it is rendered.
 #[derive(Clone, Default)]
 pub struct Trace {
     inner: Option<Arc<Sink>>,
@@ -490,136 +361,10 @@ impl Trace {
         }
     }
 
-    /// An enabled handle whose completed events stream to `path` as
-    /// newline-delimited JSON (one event per line) through a resident
-    /// buffer of at most `buffer_cap` events — counters, value
-    /// histograms and timers stay resident, so [`Trace::metrics`] and
-    /// [`Trace::metrics_json`] are byte-identical to an in-memory sink
-    /// recording the same run. Convert the spill file(s) to the Chrome
-    /// JSON with `tms trace merge` (or `tms_verify::traces::chrome_from_spills`).
-    ///
-    /// Call [`Trace::flush`] when the run completes to drain the buffer.
-    /// Write failures mid-run never error and never lose events: the
-    /// sink retries transient failures and otherwise degrades to the
-    /// in-memory mode (see [`Trace::spill_degraded`]).
-    pub fn streaming(path: &std::path::Path, buffer_cap: usize) -> Result<Trace, TraceError> {
-        Self::streaming_faulted(path, buffer_cap, FaultPlan::disabled())
-    }
-
-    /// [`Trace::streaming`] with a fault-injection plan applied to
-    /// every spill write — the `--faults` campaign uses this to drive
-    /// the retry/degradation ladder deterministically. A disabled plan
-    /// is exactly [`Trace::streaming`].
-    pub fn streaming_faulted(
-        path: &std::path::Path,
-        buffer_cap: usize,
-        faults: FaultPlan,
-    ) -> Result<Trace, TraceError> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).map_err(|e| TraceError::io(path, e))?;
-            }
-        }
-        let file = std::fs::File::create(path).map_err(|e| TraceError::io(path, e))?;
-        Ok(Trace {
-            inner: Some(Arc::new(Sink {
-                epoch: Instant::now(),
-                state: Mutex::new(State {
-                    spill: Some(SpillState {
-                        log: LineAppender::new(
-                            io::BufWriter::new(file),
-                            faults,
-                            FaultPlan::spill_write_fault,
-                        ),
-                        path: path.to_path_buf(),
-                        cap: buffer_cap.max(1),
-                        high_water: 0,
-                        spilled: 0,
-                        degraded: None,
-                    }),
-                    ..State::default()
-                }),
-            })),
-        })
-    }
-
     /// Whether this handle records anything.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Drain any buffered events to the spill file and flush it. A
-    /// no-op for disabled and non-streaming handles.
-    ///
-    /// A **degraded** sink (see [`Trace::spill_degraded`]) returns
-    /// `Ok`: degradation is a survived condition, reported through the
-    /// `trace.spill.degraded` counter and the accessors, not an error —
-    /// the run's metrics and resident events are all intact. Only a
-    /// flush failure on a healthy sink errors.
-    pub fn flush(&self) -> Result<(), TraceError> {
-        let Some(sink) = &self.inner else {
-            return Ok(());
-        };
-        let mut st = lock_state(&sink.state);
-        if st.spill.is_some() {
-            drain_to_spill(&mut st);
-        }
-        if let Some(sp) = &mut st.spill {
-            if sp.degraded.is_none() {
-                let path = sp.path.clone();
-                sp.log.flush().map_err(|e| TraceError::io(&path, e))?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Why the streaming sink stopped spilling, if it has degraded to
-    /// the in-memory mode (`None`: healthy, non-streaming or disabled).
-    pub fn spill_degraded(&self) -> Option<String> {
-        self.inner.as_ref().and_then(|s| {
-            lock_state(&s.state)
-                .spill
-                .as_ref()
-                .and_then(|sp| sp.degraded.clone())
-        })
-    }
-
-    /// Transient spill-write retries performed so far (0 when healthy
-    /// throughout, non-streaming or disabled).
-    pub fn spill_retries(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |s| {
-            lock_state(&s.state)
-                .spill
-                .as_ref()
-                .map_or(0, |sp| sp.log.retries())
-        })
-    }
-
-    /// Largest number of events the spill buffer ever held (0 for
-    /// non-streaming handles). Bounded by the `buffer_cap` passed to
-    /// [`Trace::streaming`].
-    pub fn spill_high_water(&self) -> usize {
-        self.inner.as_ref().map_or(0, |s| {
-            s.state
-                .lock()
-                .unwrap()
-                .spill
-                .as_ref()
-                .map_or(0, |sp| sp.high_water)
-        })
-    }
-
-    /// Events written to the spill file so far.
-    pub fn spilled_events(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |s| {
-            s.state
-                .lock()
-                .unwrap()
-                .spill
-                .as_ref()
-                .map_or(0, |sp| sp.spilled)
-        })
     }
 
     /// Add `n` to counter `name` (created at 0 on first use).
@@ -766,7 +511,7 @@ impl Trace {
             dur_us,
             args: args_fn(),
         };
-        lock_state(&sink.state).push_event(ev);
+        lock_state(&sink.state).events.push(ev);
     }
 
     /// Record a counter sample (`"ph": "C"`) at an explicit timestamp:
@@ -792,7 +537,7 @@ impl Trace {
             dur_us: 0,
             args: vec![("value", value.to_string())],
         };
-        lock_state(&sink.state).push_event(ev);
+        lock_state(&sink.state).events.push(ev);
     }
 
     /// [`Trace::counter_sample`] stamped with the current wall-clock
@@ -873,13 +618,11 @@ impl Trace {
         }
     }
 
-    /// Number of span/counter events recorded so far, including events
-    /// already spilled by a streaming sink.
+    /// Number of span/counter events recorded so far.
     pub fn event_count(&self) -> usize {
-        self.inner.as_ref().map_or(0, |s| {
-            let st = lock_state(&s.state);
-            st.events.len() + st.spill.as_ref().map_or(0, |sp| sp.spilled as usize)
-        })
+        self.inner
+            .as_ref()
+            .map_or(0, |s| lock_state(&s.state).events.len())
     }
 
     /// The deterministic metrics slice as canonical sorted JSON
@@ -910,18 +653,13 @@ impl Trace {
             json::write_histogram(out, h)
         });
         out.push_str(",\n  \"span_events\": ");
-        json::push_u64(
-            &mut out,
-            (st.events.len() + st.spill.as_ref().map_or(0, |sp| sp.spilled as usize)) as u64,
-        );
+        json::push_u64(&mut out, st.events.len() as u64);
         out.push_str("\n}\n");
         out
     }
 
-    /// The Chrome `trace_event` JSON (see the `chrome` module) of the
-    /// *resident* events. For a streaming sink the spilled events are
-    /// on disk, not here — render those with `tms trace merge` /
-    /// `tms_verify::traces::chrome_from_spills` instead.
+    /// The Chrome `trace_event` JSON (see the `chrome` module) of every
+    /// recorded event.
     pub fn chrome_json(&self) -> String {
         let Some(sink) = &self.inner else {
             return "{\"traceEvents\":[]}\n".to_string();
@@ -967,7 +705,7 @@ impl Trace {
                 st.timers.insert(timer_key, h);
             }
         }
-        st.push_event(ev);
+        st.events.push(ev);
     }
 }
 
@@ -1034,9 +772,6 @@ mod tests {
         assert_eq!(t.metrics(), MetricsSnapshot::default());
         assert_eq!(t.metrics_json(), "{}");
         assert!(!t.is_enabled());
-        assert_eq!(t.spilled_events(), 0);
-        assert_eq!(t.spill_high_water(), 0);
-        assert!(t.flush().is_ok());
         assert!(!Trace::default().is_enabled());
     }
 
@@ -1329,27 +1064,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_sink_spills_and_bounds_memory() {
-        let dir = std::env::temp_dir().join("tms_trace_sink_test");
-        let path = dir.join("spill.trace.ndjson");
-        let t = Trace::streaming(&path, 8).unwrap();
-        for i in 0..100u64 {
-            t.event_at("sim.vthread", || format!("t{i}"), i % 4, i, 1, Vec::new);
-        }
-        t.count("n", 100);
-        t.flush().unwrap();
-        assert_eq!(t.event_count(), 100);
-        assert!(t.spill_high_water() <= 8, "buffer exceeded its cap");
-        assert_eq!(t.spilled_events(), 100);
-        assert_eq!(t.counter("n"), 100, "metrics stay resident");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 100);
-        assert_eq!(t.spill_degraded(), None);
-        assert_eq!(t.spill_retries(), 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn sink_survives_a_panic_unwinding_through_its_users() {
         // The realistic failure mode under fault injection: a worker
         // panics between recording calls (possibly mid-span), the
@@ -1372,6 +1086,5 @@ mod tests {
         assert_eq!(t.counter("after"), 2);
         // The doomed span still recorded on unwind (guard drop ran).
         assert_eq!(t.event_count(), 1);
-        assert!(t.flush().is_ok());
     }
 }

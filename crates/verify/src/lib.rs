@@ -15,9 +15,8 @@
 //!   always-aliasing (`p = 1.0`) carried dependences;
 //! * [`report`] — the `results/verify.json` artifact the `tms-verify`
 //!   binary emits;
-//! * [`traces`] — the readers for `tms-trace`'s spill files and metrics
-//!   snapshots, behind `tms trace merge`, `tms-verify merge-metrics`,
-//!   the fault campaign's spill self-check and `tmsd soak`.
+//! * [`traces`] — the readers for `tms-trace`'s metrics snapshots,
+//!   behind `tms-verify merge-metrics` and `tmsd soak`.
 //!
 //! ```
 //! use tms_verify::checks::{check_loop, CheckConfig};

@@ -4,19 +4,17 @@
 //! ```text
 //! tms-verify [--fuzz N] [--seed S] [--out PATH] [--sim-iters N]
 //!            [--specfp-cap N] [--jobs N] [--no-sim] [--quick]
-//!            [--shard I/N] [--trace PATH] [--stream PATH]
-//!            [--stream-buffer N] [--metrics PATH] [--snapshot PATH]
-//!            [--faults SEED]
+//!            [--shard I/N] [--trace PATH] [--metrics PATH]
+//!            [--snapshot PATH] [--faults SEED]
 //! tms-verify merge-metrics [--out PATH] FILE...
 //! ```
 //!
 //! Exits nonzero if any check fails. `--faults SEED` runs the sweep as
 //! a fault-injection campaign: seeded, deterministic failures are
 //! forced into the scheduler search (attempt starvation), the SpMT
-//! engine (misspeculation bursts, stall jitter), the sweep worker pool
-//! (panicking workers) and the streaming trace sink (write faults) —
-//! and the run must still complete with a clean report, recovering or
-//! degrading gracefully at every site.
+//! engine (misspeculation bursts, stall jitter) and the sweep worker
+//! pool (panicking workers) — and the run must still complete with a
+//! clean report, recovering or degrading gracefully at every site.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -30,8 +28,6 @@ struct Args {
     sweep: SweepConfig,
     out: PathBuf,
     trace_out: Option<PathBuf>,
-    stream_out: Option<PathBuf>,
-    stream_buffer: usize,
     metrics_out: Option<PathBuf>,
     snapshot_out: Option<PathBuf>,
     faults_seed: Option<u64>,
@@ -46,8 +42,6 @@ impl Default for Args {
             },
             out: PathBuf::from("results/verify.json"),
             trace_out: None,
-            stream_out: None,
-            stream_buffer: 4096,
             metrics_out: None,
             snapshot_out: None,
             faults_seed: None,
@@ -58,8 +52,7 @@ impl Default for Args {
 fn usage() -> String {
     "tms-verify [--fuzz N] [--seed S] [--out PATH] [--sim-iters N] \
      [--specfp-cap N] [--jobs N] [--no-sim] [--quick] [--shard I/N] \
-     [--trace PATH] [--stream PATH] [--stream-buffer N] \
-     [--metrics PATH] [--snapshot PATH] [--faults SEED]\n\
+     [--trace PATH] [--metrics PATH] [--snapshot PATH] [--faults SEED]\n\
      tms-verify merge-metrics [--out PATH] FILE...\n\n\
      --jobs N       worker threads for the per-loop fan-out; 0 or the\n\
                     default uses every available core. The TMS_JOBS\n\
@@ -74,22 +67,18 @@ fn usage() -> String {
                     --snapshot files merge (merge-metrics) to exactly\n\
                     the single-process metrics\n\
      --trace PATH   enable tracing; write a Chrome trace_event JSON\n\
-                    (load in chrome://tracing or ui.perfetto.dev)\n\
-     --stream PATH  enable tracing with a bounded-memory streaming\n\
-                    sink: completed events spill to PATH as ndjson\n\
-                    (one JSON object per line); convert with\n\
-                    `tms trace merge`\n\
-     --stream-buffer N  resident event cap for --stream (default 4096)\n\
+                    (load in chrome://tracing or ui.perfetto.dev);\n\
+                    every event stays in memory until the run ends\n\
      --metrics PATH enable tracing; write the counter/timer metrics\n\
                     JSON (default results/verify_metrics.json when\n\
-                    --trace or --stream is given)\n\
+                    --trace is given)\n\
      --snapshot PATH  enable tracing; write the deterministic metrics\n\
                     snapshot (counters + value histograms only) for\n\
                     merge-metrics. Tracing never changes the report:\n\
                     verify.json stays byte-identical.\n\
      --faults SEED  fault-injection campaign (hex 0x... or decimal):\n\
                     seeded failures in the scheduler search, the SpMT\n\
-                    engine, the worker pool and the streaming sink.\n\
+                    engine and the worker pool.\n\
                     The sweep must survive them all — degradations are\n\
                     reported, panics are contained, and the report is\n\
                     still bit-identical at every --jobs.\n\n\
@@ -159,12 +148,6 @@ fn parse_args() -> Result<Args, String> {
             "--quick" => args.sweep.quick = true,
             "--shard" => args.sweep.shard = Some(parse_shard(&val("--shard")?)?),
             "--trace" => args.trace_out = Some(PathBuf::from(val("--trace")?)),
-            "--stream" => args.stream_out = Some(PathBuf::from(val("--stream")?)),
-            "--stream-buffer" => {
-                args.stream_buffer = val("--stream-buffer")?
-                    .parse()
-                    .map_err(|e| format!("--stream-buffer: {e}"))?
-            }
             "--metrics" => args.metrics_out = Some(PathBuf::from(val("--metrics")?)),
             "--snapshot" => args.snapshot_out = Some(PathBuf::from(val("--snapshot")?)),
             "--faults" => args.faults_seed = Some(parse_seed(&val("--faults")?)?),
@@ -174,9 +157,6 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown flag {other}")),
         }
-    }
-    if args.trace_out.is_some() && args.stream_out.is_some() {
-        return Err("--trace and --stream are mutually exclusive".to_string());
     }
     Ok(args)
 }
@@ -272,30 +252,10 @@ fn main() -> ExitCode {
         args.sweep.faults = FaultPlan::seeded(seed);
         println!("fault campaign: seed 0x{seed:X} (deterministic injection)");
     }
-    let tracing = args.trace_out.is_some()
-        || args.stream_out.is_some()
-        || args.metrics_out.is_some()
-        || args.snapshot_out.is_some();
+    let tracing =
+        args.trace_out.is_some() || args.metrics_out.is_some() || args.snapshot_out.is_some();
     if tracing {
-        args.sweep.trace = match &args.stream_out {
-            None => Trace::enabled(),
-            Some(path) => {
-                if let Some(dir) = path.parent() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-                // Under a campaign the sink itself is a fault site:
-                // injected write errors exercise its retry/degrade
-                // ladder while the sweep keeps running.
-                match Trace::streaming_faulted(path, args.stream_buffer, args.sweep.faults.clone())
-                {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("tms-verify: cannot open {}: {e}", path.display());
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-        };
+        args.sweep.trace = Trace::enabled();
         if args.metrics_out.is_none() && args.snapshot_out.is_none() {
             args.metrics_out = Some(PathBuf::from("results/verify_metrics.json"));
         }
@@ -363,54 +323,6 @@ fn main() -> ExitCode {
             path.display(),
             args.sweep.trace.event_count()
         );
-    }
-    if let Some(path) = &args.stream_out {
-        if let Err(e) = args.sweep.trace.flush() {
-            eprintln!("tms-verify: cannot flush {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        match args.sweep.trace.spill_degraded() {
-            Some(reason) => println!(
-                "wrote {} ({} events spilled before degrading to in-memory: {reason}; \
-                 {} retries)",
-                path.display(),
-                args.sweep.trace.spilled_events(),
-                args.sweep.trace.spill_retries()
-            ),
-            None => println!(
-                "wrote {} ({} events spilled, peak {} resident; convert with `tms trace merge`)",
-                path.display(),
-                args.sweep.trace.spilled_events(),
-                args.sweep.trace.spill_high_water()
-            ),
-        }
-        if args.faults_seed.is_some() {
-            // Campaign invariant: whatever reached disk — including a
-            // torn final line from an injected short write — must be
-            // recoverable as a valid prefix.
-            match std::fs::read_to_string(path) {
-                Err(e) => {
-                    eprintln!("tms-verify: cannot re-read {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-                Ok(text) => match tms_verify::traces::parse_spill_lossy(&text) {
-                    Err(e) => {
-                        eprintln!(
-                            "tms-verify: spill {} corrupt beyond truncation: {e}",
-                            path.display()
-                        );
-                        return ExitCode::from(2);
-                    }
-                    Ok(rec) => {
-                        println!(
-                            "spill self-check: {} event(s) recovered{}",
-                            rec.events.len(),
-                            rec.truncated.map(|n| format!(" ({n})")).unwrap_or_default()
-                        );
-                    }
-                },
-            }
-        }
     }
     if let Some(path) = &args.metrics_out {
         if let Err(e) = args.sweep.trace.write_metrics(path) {

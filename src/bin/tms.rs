@@ -7,7 +7,6 @@
 //! tms simulate <loop> [opts]        schedule + run on the SpMT system
 //! tms dot <loop> [opts]             DOT of the TMS-scheduled kernel
 //! tms trace <loop> [opts]           per-thread SpMT execution timeline
-//! tms trace merge <out> <in>...     spilled .trace.ndjson -> Chrome JSON
 //! tms profile <target> [opts]       placement profiler: hot loops ->
 //!                                   hot nodes -> dominant engine action
 //! tms profile diff <a> <b>          compare two profile reports
@@ -22,9 +21,6 @@
 //!                        (default: the paper's Table 1 machine)
 //!          --trace PATH  (trace) also write a Chrome trace_event JSON
 //!                        timeline — load it in ui.perfetto.dev
-//!          --stream PATH (trace) bounded-memory sink: spill events to
-//!                        PATH as ndjson; convert with `tms trace merge`
-//!          --buffer N    (trace --stream) resident event cap (default 4096)
 //!
 //! profile targets: a loop name, or a family — `kernels`, `livermore`,
 //! `doacross`, `figure1`, `specfp` (3 generated loops per SPECfp2000
@@ -32,6 +28,10 @@
 //! profile options: --top N        hot nodes per loop (default 5)
 //!                  --json PATH    machine-readable report (tms-profile-v1)
 //!                  --metrics PATH merged deterministic metrics snapshot
+//!
+//! exit codes: 0 success; 1 a check failed (a profile that breaks the
+//!             metrics schema, or no loop produced a schedule); 2 bad
+//!             usage, input or I/O, with a `tms:` message on stderr
 //! ```
 
 use serde_json::Value;
@@ -44,8 +44,6 @@ struct Opts {
     iters: u64,
     unroll: u32,
     trace_out: Option<String>,
-    stream_out: Option<String>,
-    buffer: usize,
     machine: Option<String>,
 }
 
@@ -83,8 +81,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         iters: 1000,
         unroll: 1,
         trace_out: None,
-        stream_out: None,
-        buffer: 4096,
         machine: None,
     };
     let mut it = args.iter();
@@ -94,8 +90,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--iters" => o.iters = flag_num(&mut it, "--iters")?,
             "--unroll" => o.unroll = flag_num(&mut it, "--unroll")?,
             "--trace" => o.trace_out = Some(flag_str(&mut it, "--trace")?.clone()),
-            "--stream" => o.stream_out = Some(flag_str(&mut it, "--stream")?.clone()),
-            "--buffer" => o.buffer = flag_num(&mut it, "--buffer")?,
             "--machine" => o.machine = Some(flag_str(&mut it, "--machine")?.clone()),
             other => return Err(format!("unknown option {other:?}")),
         }
@@ -235,10 +229,7 @@ fn cmd_trace(g: &Ddg, o: &Opts, machine: &MachineModel) -> Result<(), String> {
     let g = prepare(g, o)?;
     let arch = ArchParams::with_ncore(o.ncore);
     let model = CostModel::new(arch.costs, arch.ncore);
-    let sink = if let Some(path) = &o.stream_out {
-        Trace::streaming(std::path::Path::new(path), o.buffer)
-            .map_err(|e| format!("cannot open {path}: {e}"))?
-    } else if o.trace_out.is_some() {
+    let sink = if o.trace_out.is_some() {
         Trace::enabled()
     } else {
         Trace::disabled()
@@ -249,24 +240,12 @@ fn cmd_trace(g: &Ddg, o: &Opts, machine: &MachineModel) -> Result<(), String> {
     cfg.collect_trace = true;
     let out = simulate_spmt_traced(&g, &tms.schedule, &cfg, &sink);
     if let Some(path) = &o.trace_out {
-        match sink.write_chrome(std::path::Path::new(path)) {
-            Ok(()) => println!(
-                "wrote {path} ({} events; load in chrome://tracing or ui.perfetto.dev)",
-                sink.event_count()
-            ),
-            Err(e) => eprintln!("cannot write {path}: {e}"),
-        }
-    }
-    if let Some(path) = &o.stream_out {
-        match sink.flush() {
-            Ok(()) => println!(
-                "wrote {path} ({} events spilled, peak {} resident; \
-                 convert with `tms trace merge <out.json> {path}`)",
-                sink.spilled_events(),
-                sink.spill_high_water()
-            ),
-            Err(e) => eprintln!("cannot flush {path}: {e}"),
-        }
+        sink.write_chrome(std::path::Path::new(path))
+            .map_err(|e| format!("cannot write {e}"))?;
+        println!(
+            "wrote {path} ({} events; load in chrome://tracing or ui.perfetto.dev)",
+            sink.event_count()
+        );
     }
     let trace = out
         .trace
@@ -283,55 +262,6 @@ fn cmd_trace(g: &Ddg, o: &Opts, machine: &MachineModel) -> Result<(), String> {
             .collect::<Vec<_>>()
     );
     Ok(())
-}
-
-/// `tms trace merge <out.json> <in.trace.ndjson>...` — render one or
-/// more spill files as a single Chrome trace_event document, byte-
-/// identical to what an in-memory sink would have written for the
-/// same events.
-///
-/// Inputs may be glob patterns (final component only, like
-/// `tms-verify merge-metrics`): the shell passes an unmatched pattern
-/// through verbatim, and merging a "file" named `shard_*.ndjson` must
-/// fail operationally (exit 2), not produce an empty trace.
-fn cmd_trace_merge(out: &str, inputs: &[String]) -> ExitCode {
-    let mut files: Vec<String> = Vec::new();
-    for arg in inputs {
-        match tms_verify::glob::expand(arg) {
-            Ok(paths) => {
-                if paths.is_empty() {
-                    eprintln!("tms trace merge: pattern '{arg}' matched no files");
-                    return ExitCode::from(2);
-                }
-                files.extend(paths.iter().map(|p| p.display().to_string()));
-            }
-            Err(e) => {
-                eprintln!("tms trace merge: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if files.is_empty() {
-        eprintln!("tms trace merge: no input files — nothing to merge");
-        return ExitCode::from(2);
-    }
-    match tms_verify::traces::chrome_from_spills(&files) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(out, &json) {
-                eprintln!("cannot write {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "merged {} file(s) -> {out} (load in chrome://tracing or ui.perfetto.dev)",
-                files.len()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("tms trace merge: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// Resolve a `tms profile` target: a family keyword or a single named
@@ -451,10 +381,9 @@ impl ProfRow {
 /// attribution counters underneath are deterministic (see DESIGN §10).
 fn cmd_profile(args: &[String]) -> ExitCode {
     let Some(target) = args.first() else {
-        eprintln!(
-            "usage: tms profile <loop|family> [--ncore N] [--top N] [--json PATH] [--metrics PATH]"
+        return operational(
+            "usage: tms profile <loop|family> [--ncore N] [--top N] [--json PATH] [--metrics PATH]",
         );
-        return ExitCode::FAILURE;
     };
     let mut ncore = 4u32;
     let mut top = 5usize;
@@ -480,11 +409,10 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         return operational(&e);
     }
     let Some((family, loops)) = profile_targets(target) else {
-        eprintln!(
+        return operational(&format!(
             "unknown profile target '{target}' — a loop name (see `tms list`) or \
              kernels|livermore|doacross|figure1|specfp|all"
-        );
-        return ExitCode::FAILURE;
+        ));
     };
     let machine = MachineModel::icpp2008();
     let arch = ArchParams::with_ncore(ncore);
@@ -607,21 +535,16 @@ fn cmd_profile(args: &[String]) -> ExitCode {
     if let Some(path) = &json_out {
         let text = match serde_json::to_string_pretty(&report) {
             Ok(text) => text,
-            Err(e) => {
-                eprintln!("tms profile: serialise report: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return operational(&format!("profile: serialise report: {e}")),
         };
         if let Err(e) = std::fs::write(path, text) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+            return operational(&format!("profile: cannot write {path}: {e}"));
         }
         println!("wrote {path}");
     }
     if let Some(path) = &metrics_out {
         if let Err(e) = std::fs::write(path, snap.to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+            return operational(&format!("profile: cannot write {path}: {e}"));
         }
         println!("wrote {path}");
     }
@@ -643,10 +566,7 @@ fn cmd_profile_diff(a_path: &str, b_path: &str) -> ExitCode {
     };
     let (a, b) = match (load(a_path), load(b_path)) {
         (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("tms profile diff: {e}");
-            return ExitCode::FAILURE;
-        }
+        (Err(e), _) | (_, Err(e)) => return operational(&format!("profile diff: {e}")),
     };
     let index = |v: &Value| -> std::collections::BTreeMap<String, Value> {
         v.get("loops")
@@ -727,15 +647,13 @@ fn cmd_dot(g: &Ddg, o: &Opts, machine: &MachineModel) -> Result<(), String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let usage = || {
-        eprintln!(
+        operational(
             "usage: tms <list|show|schedule|simulate|dot|trace|profile|codegen|export|import> [loop] [opts]\n\
-             \x20      tms trace merge <out.json> <in.trace.ndjson>...\n\
              \x20      tms profile <loop|family> [--ncore N] [--top N] [--json PATH] [--metrics PATH]\n\
              \x20      tms profile diff <a.json> <b.json>\n\
              see `tms list` for loop names; options: --ncore N --iters N --unroll F \
-             --trace PATH --stream PATH --buffer N"
-        );
-        ExitCode::FAILURE
+             --machine PATH --trace PATH",
+        )
     };
     let Some(cmd) = args.first() else {
         return usage();
@@ -748,31 +666,18 @@ fn main() -> ExitCode {
         "profile" => {
             if args.get(1).map(String::as_str) == Some("diff") {
                 let (Some(a), Some(b)) = (args.get(2), args.get(3)) else {
-                    eprintln!("usage: tms profile diff <a.json> <b.json>");
-                    return ExitCode::FAILURE;
+                    return operational("usage: tms profile diff <a.json> <b.json>");
                 };
                 return cmd_profile_diff(a, b);
             }
             cmd_profile(&args[1..])
         }
         "show" | "schedule" | "simulate" | "dot" | "trace" | "codegen" => {
-            if cmd == "trace" && args.get(1).map(String::as_str) == Some("merge") {
-                let (Some(out), inputs) = (args.get(2), &args[3.min(args.len())..]) else {
-                    eprintln!("usage: tms trace merge <out.json> <in.trace.ndjson>...");
-                    return ExitCode::from(2);
-                };
-                if inputs.is_empty() {
-                    eprintln!("tms trace merge: no input files — nothing to merge");
-                    return ExitCode::from(2);
-                }
-                return cmd_trace_merge(out, inputs);
-            }
             let Some(name) = args.get(1) else {
                 return usage();
             };
             let Some(g) = find_loop(name) else {
-                eprintln!("unknown loop '{name}' — try `tms list`");
-                return ExitCode::FAILURE;
+                return operational(&format!("unknown loop '{name}' — try `tms list`"));
             };
             run_on_loop(cmd, &g, &args[2..])
         }
@@ -781,8 +686,7 @@ fn main() -> ExitCode {
                 return usage();
             };
             let Some(g) = find_loop(name) else {
-                eprintln!("unknown loop '{name}'");
-                return ExitCode::FAILURE;
+                return operational(&format!("unknown loop '{name}' — try `tms list`"));
             };
             let json = match serde_json::to_string_pretty(&g) {
                 Ok(json) => json,

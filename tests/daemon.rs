@@ -609,9 +609,6 @@ fn zero_rate_plan_matches_disabled_plan() {
             tms_faults::FaultRates {
                 sched_budget_per_1024: 0,
                 worker_panic_per_1024: 0,
-                spill_transient_per_1024: 0,
-                spill_fail_after: None,
-                spill_torn_at: None,
                 misspec_per_1024: 0,
                 jitter_per_1024: 0,
                 jitter_max_cycles: 0,

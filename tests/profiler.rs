@@ -185,26 +185,53 @@ fn profile_on_populates_profile_and_schema_complete_metrics() {
     );
 }
 
-/// `tms profile` refuses a bad flag with a message and exit 2, like
-/// every other subcommand: no panic on `--ncore 0`, no silent default
-/// for an unparsable value, no ignored unknown flag.
+/// The `tms` CLI refuses bad usage, input and I/O with a `tms:` message
+/// and exit 2: no panic on `--ncore 0`, no silent default for an
+/// unparsable value, no ignored unknown flag, no unknown loop or
+/// profile target, no unreadable report, and no write failure that
+/// exits 0 or 1.
 #[test]
 fn tms_profile_refuses_bad_flags_with_exit_2() {
-    for flags in [
-        &["--ncore", "0"][..],
-        &["--ncore", "abc"],
-        &["--top", "x"],
-        &["--json"],
-        &["--bogus"],
-    ] {
+    let dir = std::env::temp_dir().join(format!("tms_cli_exit_2_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let other = dir.join("other.json");
+    std::fs::write(&other, r#"{"schema":"other"}"#).unwrap();
+    let missing = dir.join("missing.json");
+    let (other, missing) = (other.to_str().unwrap(), missing.to_str().unwrap());
+    // A regular file cannot be a directory, so no path under it can be
+    // written or created.
+    let unwritable = format!("{other}/out.json");
+    let unwritable = unwritable.as_str();
+    // (argv, whether it fails before anything runs)
+    let cases: &[(&[&str], bool)] = &[
+        (&["profile", "daxpy", "--ncore", "0"], true),
+        (&["profile", "daxpy", "--ncore", "abc"], true),
+        (&["profile", "daxpy", "--top", "x"], true),
+        (&["profile", "daxpy", "--json"], true),
+        (&["profile", "daxpy", "--bogus"], true),
+        (&[], true),
+        (&["bogus"], true),
+        (&["schedule", "nosuchloop"], true),
+        (&["trace", "nosuchloop"], true),
+        (&["export", "nosuchloop", unwritable], true),
+        (&["profile", "nosuchloop"], true),
+        (&["profile", "diff", missing, missing], true),
+        (&["profile", "diff", other, other], true),
+        (&["profile", "daxpy", "--json", unwritable], false),
+        (&["profile", "daxpy", "--metrics", unwritable], false),
+        (&["trace", "daxpy", "--trace", unwritable], false),
+    ];
+    for &(argv, before_running) in cases {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_tms"))
-            .args(["profile", "daxpy"])
-            .args(flags)
+            .args(argv)
             .output()
             .expect("run tms");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
-        assert!(stderr.starts_with("tms: "), "{flags:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{flags:?} ran the profile");
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert!(stderr.starts_with("tms: "), "{argv:?}: {stderr}");
+        if before_running {
+            assert!(out.stdout.is_empty(), "{argv:?} ran something");
+        }
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
